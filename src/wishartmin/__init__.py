@@ -9,7 +9,6 @@ ensemble, and goodness-of-fit machinery tying the two together.
 from .exactlaw import (
     ExactLaw,
     KernelPolynomial,
-    build_g_polynomials,
     build_q_polynomials,
     gap_probability,
     pmin_density,
@@ -77,7 +76,6 @@ __all__ = [
     "SignedLogMatrix",
     "adaptive_quadrature",
     "bessel_i",
-    "build_g_polynomials",
     "build_histogram",
     "build_q_polynomials",
     "derivative_check",

@@ -160,13 +160,14 @@ def cmd_exact(args, argv) -> int:
     ts = _grid(args.t_min, args.t_max, args.t_steps, "t")
     law = ExactLaw(spectrum, config)
     gaps = law.gap_grid(ts)
+    pmins = law.density_grid(ts)
     lines = [f"# command: {_command_line(argv)}"]
     header = "t,gap,pmin"
     if args.c_normalization:
         header += ",t_over_n"
     lines.append(header)
-    for t, gap in zip(ts.tolist(), gaps.tolist()):
-        row = f"{t!r},{gap!r},{law.density(t)!r}"
+    for t, gap, pmin in zip(ts.tolist(), gaps.tolist(), pmins.tolist()):
+        row = f"{t!r},{gap!r},{pmin!r}"
         if args.c_normalization:
             row += f",{t / config.n!r}"
         lines.append(row)
@@ -188,9 +189,11 @@ def cmd_micro(args, argv) -> int:
         )
         u_min = DEFAULT_U_MIN
     us = _grid(u_min, args.u_max, args.u_steps, "u")
+    gaps = micro_gap(us, micro)
+    pmins = micro_pmin(us, micro)
     lines = [f"# command: {_command_line(argv)}", "u,gap,pmin"]
-    for u in us.tolist():
-        lines.append(f"{u!r},{micro_gap(u, micro)!r},{micro_pmin(u, micro)!r}")
+    for u, gap, pmin in zip(us.tolist(), gaps.tolist(), pmins.tolist()):
+        lines.append(f"{u!r},{gap!r},{pmin!r}")
     _write_atomic(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -229,12 +232,12 @@ def cmd_verify(args, argv) -> int:
         law = ExactLaw(spectrum, law_config)
         positions = values
         cdf_vals = 1.0 - law.gap_grid(values)
-        mids_density = law.density
+        density_grid = law.density_grid
     else:
         micro = make_micro_config(law_config.beta, law_config.gamma)
         positions = micro_rescale(values, spectrum, config)
-        cdf_vals = np.array([1.0 - micro_gap(u, micro) for u in positions])
-        mids_density = lambda u: micro_pmin(u, micro)  # noqa: E731
+        cdf_vals = 1.0 - micro_gap(positions, micro)
+        density_grid = lambda us: micro_pmin(us, micro)  # noqa: E731
 
     try:
         # the callable is only ever handed the full sorted position array
@@ -245,11 +248,12 @@ def cmd_verify(args, argv) -> int:
         raise CliError(str(exc)) from exc
 
     hist = build_histogram(positions, args.bins)
+    lefts, rights = hist.edges[:-1], hist.edges[1:]
+    analytic = density_grid(0.5 * (lefts + rights))
     hist_lines = [f"# command: {_command_line(argv)}", "bin_left,bin_right,density,analytic_pmin"]
-    for k in range(len(hist.densities)):
-        left, right = hist.edges[k], hist.edges[k + 1]
-        mid = 0.5 * (left + right)
-        hist_lines.append(f"{left!r},{right!r},{hist.densities[k]!r},{mids_density(mid)!r}")
+    # tolist() gives Python floats: a numpy scalar's repr is not a plain number
+    for row in zip(lefts.tolist(), rights.tolist(), hist.densities.tolist(), analytic.tolist()):
+        hist_lines.append(",".join(repr(v) for v in row))
     _write_atomic(args.out + ".hist.csv", "\n".join(hist_lines) + "\n")
 
     doc = report.to_json()

@@ -13,14 +13,19 @@ polynomials in t,
 where a_ij = p + 2*(gamma+1)/beta - i - j (entries with a_ij < 0 vanish;
 the a_ij = 0 entry keeps its finite k = 0 term), e_k are the elementary
 symmetric polynomials and q_ij = (j-i)*(-1)^(i+j) for beta=1 and (-1)^(i+1)
-for beta=2.  The density of the smallest eigenvalue is -dE/dt, expanded
-into determinants of kernels G^(l) that replace row l of Q by its term-wise
-t-derivative.
+for beta=2.  By Jacobi's formula the density of the smallest eigenvalue is
 
-All coefficients and determinants live in signed-log form; plain floats
-appear only at the API boundary.  A vectorized grid evaluator (row-scaled
-log-space determinants over a stacked array) is provided for large sample
-batches; it matches the scalar signed-log path to near machine precision.
+    P(t) = -dE/dt = E(t) * (r - (beta/2) * tr(Q(t)^-1 Q'(t))),
+
+with r = tr(beta/(2*lam)) and Q' the term-wise t-derivative of the kernel:
+one small linear solve per point.
+
+Coefficients are built in signed-log form.  The grid engine
+evaluates Q and Q' by Horner's rule with float mantissas and separate
+binary exponents, scales each row by its largest entry and hands the
+whole stack to one batched determinant and one batched solve; t = 0 reads
+the constant coefficients directly.  The density and its scalar API use
+only that engine.  The scalar gap keeps a signed-log LU determinant.
 """
 
 from __future__ import annotations
@@ -31,7 +36,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import SignedLogMatrix, logdet_lu, sqrt_det_antisymmetric
+from .linalg import (
+    ZERO_EXP,
+    SignedLogMatrix,
+    jacobi_gap_density,
+    logdet_lu,
+    sqrt_det_antisymmetric,
+)
 from .numerics import (
     SLOG_ZERO,
     SignedLog,
@@ -55,7 +66,6 @@ __all__ = [
     "DensityResult",
     "q_prefactor",
     "build_q_polynomials",
-    "build_g_polynomials",
     "ExactLaw",
     "gap_probability",
     "pmin_density",
@@ -95,19 +105,6 @@ class KernelPolynomial:
         if tail:
             acc = signedlog_mul(acc, signedlog_pow_int(slog_t, tail))
         return acc
-
-    def derivative(self) -> "KernelPolynomial":
-        """Term-wise d/dt; the degree drops by one, constants disappear."""
-        new_coeffs = []
-        for k, c in enumerate(self.coeffs):
-            power = self.degree - k
-            if power == 0:
-                break
-            new_coeffs.append(signedlog_mul(c, signedlog_from_float(float(power))))
-        return KernelPolynomial(
-            i=self.i, j=self.j, alpha=self.alpha, degree=self.degree - 1,
-            coeffs=tuple(new_coeffs),
-        )
 
 
 def q_prefactor(i: int, j: int, config: EnsembleConfig) -> int:
@@ -153,22 +150,15 @@ def build_q_polynomials(spectrum: EmpiricalSpectrum, config: EnsembleConfig):
     return tuple(table)
 
 
-def build_g_polynomials(l: int, q_table):
-    """Kernel table for G^(l): row l differentiated, other rows shared."""
-    dim = len(q_table)
-    if not (1 <= l <= dim):
-        raise IndexError(f"row index must lie in 1..{dim}, got {l}")
-    rows = list(q_table)
-    rows[l - 1] = tuple(poly.derivative() for poly in q_table[l - 1])
-    return tuple(rows)
+# grid points evaluated together: bounds the (points x kernel entries) arrays
+GRID_BLOCK = 256
 
 
 @dataclass(frozen=True, slots=True)
 class DensityResult:
-    """Density value plus a flag for the finite-difference fallback path."""
+    """Density value of one point."""
 
     value: float
-    used_fallback: bool = False
 
 
 class ExactLaw:
@@ -184,9 +174,9 @@ class ExactLaw:
         self.trace_rate = inverse_trace_half_beta(spectrum, config)
         self.log_det_lambda = math.fsum(math.log(v) for v in spectrum.lambdas)
         self.q_table = build_q_polynomials(spectrum, config)
-        dim = config.kernel_dim
-        self.g_tables = tuple(build_g_polynomials(l, self.q_table) for l in range(1, dim + 1))
-        self._grid_data = None
+        self._entry_index, self._coeff_mant, self._coeff_exp = _grid_coefficients(
+            self.q_table, config.p
+        )
 
     # -- scalar signed-log path ------------------------------------------
 
@@ -219,114 +209,107 @@ class ExactLaw:
         return self.density_detailed(t).value
 
     def density_detailed(self, t: float) -> DensityResult:
-        """Smallest-eigenvalue density -dE/dt at t, in expanded determinant form.
-
-        For beta=1 a kernel determinant below the noise floor would poison
-        the det^(1/2) denominator; in that case the value falls back to a
-        5-point central finite difference of the gap probability (relative
-        step 1e-6) and the result is flagged.
-        """
+        """Smallest-eigenvalue density -dE/dt at t: a 1-point density_grid."""
         if t < 0 or not math.isfinite(t):
             raise ValueError(f"t must be non-negative and finite, got {t}")
-        beta = self.config.beta
-        term1 = self.trace_rate * self.gap(t)
-        if self.config.kernel_dim == 0:
-            return DensityResult(term1)
-        g_sum = SLOG_ZERO
-        for table in self.g_tables:
-            g_sum = signedlog_add(g_sum, logdet_lu(self._matrix_at(t, table)))
-        log_pref = self._log_prefactor(t)
-        if beta == 2:
-            term2 = signedlog_mul(g_sum, SignedLog.from_logmag(1, log_pref))
-        else:
-            den = sqrt_det_antisymmetric(self._matrix_at(t, self.q_table))
-            if den.sign == 0:
-                return DensityResult(self._density_fd(t), used_fallback=True)
-            term2 = signedlog_mul(
-                signedlog_mul(g_sum, signedlog_inv(den)),
-                SignedLog.from_logmag(1, math.log(0.5) + log_pref),
-            )
-        value = term1 - signedlog_to_float(term2)
-        return DensityResult(value if value > 0.0 else 0.0)
-
-    def _density_fd(self, t: float) -> float:
-        if t <= 0:
-            raise ValueError("finite-difference fallback needs t > 0")
-        h = 1e-6 * t
-        stencil = (
-            self.gap(t - 2 * h) - 8.0 * self.gap(t - h)
-            + 8.0 * self.gap(t + h) - self.gap(t + 2 * h)
-        )
-        value = -stencil / (12.0 * h)
-        return value if value > 0.0 else 0.0
+        return DensityResult(float(self.density_grid(np.array([float(t)]))[0]))
 
     # -- vectorized grid path --------------------------------------------
 
-    def _grid_tables(self):
-        """Per-entry arrays (sign, log|coeff| vector, power vector) for the grid path."""
-        if self._grid_data is None:
-            p = self.config.p
-            dim = self.config.kernel_dim
-            signs = np.zeros((dim, dim))
-            logcs = []
-            powers = []
-            for i in range(dim):
-                lrow, prow = [], []
-                for j in range(dim):
-                    poly = self.q_table[i][j]
-                    if poly.is_zero:
-                        lrow.append(np.array([-np.inf]))
-                        prow.append(np.array([0.0]))
-                    else:
-                        signs[i, j] = float(poly.coeffs[0].sign)
-                        lrow.append(np.array([c.logmag for c in poly.coeffs]))
-                        prow.append(np.array([float(p - k) for k in range(len(poly.coeffs))]))
-                logcs.append(lrow)
-                powers.append(prow)
-            self._grid_data = (signs, logcs, powers)
-        return self._grid_data
-
     def gap_grid(self, ts) -> np.ndarray:
-        """Gap probability on an array of t values (vectorized log-space path)."""
+        """Gap probability on a 1-d array of t values."""
+        return self._grid(ts, derivative=False)[0]
+
+    def density_grid(self, ts) -> np.ndarray:
+        """Smallest-eigenvalue density -dE/dt on a 1-d array of t values."""
+        return self._grid(ts, derivative=True)[1]
+
+    def _grid(self, ts, derivative: bool):
+        """(gap, density) arrays; density is None unless ``derivative``."""
         ts = np.asarray(ts, dtype=float)
         if ts.ndim != 1:
             raise ValueError("expected a 1-d array of t values")
         if np.any(~np.isfinite(ts)) or np.any(ts < 0):
             raise ValueError("t values must be non-negative and finite")
-        out = np.empty(ts.shape)
         log_pref = -self.trace_rate * ts - self.config.gamma * self.log_det_lambda
         if self.config.kernel_dim == 0:
-            return np.exp(log_pref)
-        pos = ts > 0
-        for idx in np.nonzero(~pos)[0]:
-            out[idx] = self.gap(ts[idx])
-        tpos = ts[pos]
-        if tpos.size:
-            out[pos] = self._gap_grid_positive(tpos, log_pref[pos])
-        return out
+            gap = np.exp(log_pref)
+            return gap, self.trace_rate * gap
+        gap = np.empty(ts.size)
+        density = np.empty(ts.size) if derivative else None
+        for start in range(0, ts.size, GRID_BLOCK):
+            block = slice(start, start + GRID_BLOCK)
+            gap[block], block_density = self._block(ts[block], log_pref[block], derivative)
+            if derivative:
+                density[block] = block_density
+        return gap, density
 
-    def _gap_grid_positive(self, ts, log_pref):
+    def _block(self, ts, log_pref, derivative: bool):
+        """(gap, density) of one block of grid points, from stacked Q and Q'."""
+        rows, cols = self._entry_index
+        entries = len(rows)
+        used = 2 * entries if derivative else entries
+        mant, expo = _horner(self._coeff_mant[:used], self._coeff_exp[:used], ts)
         dim = self.config.kernel_dim
-        beta = self.config.beta
-        signs, logcs, powers = self._grid_tables()
-        logt = np.log(ts)
-        n = ts.size
-        logm = np.full((n, dim, dim), -np.inf)
-        for i in range(dim):
-            for j in range(dim):
-                if signs[i, j] == 0.0:
-                    continue
-                expo = logcs[i][j][:, None] + powers[i][j][:, None] * logt[None, :]
-                top = expo.max(axis=0)
-                logm[:, i, j] = top + np.log(np.exp(expo - top[None, :]).sum(axis=0))
-        row_top = logm.max(axis=2)
-        mats = signs[None, :, :] * np.exp(logm - row_top[:, :, None])
-        sgn, logabs = np.linalg.slogdet(mats)
-        log_det = logabs + row_top.sum(axis=1)
-        power = 0.5 * beta
-        vals = np.exp(log_pref + power * log_det)
-        vals[sgn <= 0] = 0.0
-        return vals
+        stacks = []
+        for start in range(0, used, entries):  # Q, then Q'
+            m = np.zeros((ts.size, dim, dim))
+            e = np.full((ts.size, dim, dim), ZERO_EXP, dtype=np.int32)
+            m[:, rows, cols] = mant[:, start:start + entries]
+            e[:, rows, cols] = expo[:, start:start + entries]
+            stacks += [m, e]
+        return jacobi_gap_density(log_pref, self.trace_rate, 0.5 * self.config.beta, *stacks)
+
+
+def _grid_coefficients(q_table, p: int):
+    """Coefficient mantissas and exponents of the nonzero entries of Q and Q'.
+
+    Column c of the returned (2 * entries, p + 1) arrays multiplies t^(p-c).
+    The first ``entries`` rows are the entries of Q in row-major order, the
+    rest their term-wise t-derivatives in the same order; zero coefficients
+    carry exponent ZERO_EXP.
+    """
+    index = [(poly.i - 1, poly.j - 1) for row in q_table for poly in row if not poly.is_zero]
+    mant = np.zeros((2 * len(index), p + 1))
+    expo = np.full((2 * len(index), p + 1), ZERO_EXP, dtype=np.int32)
+    for e, (i, j) in enumerate(index):
+        for k, c in enumerate(q_table[i][j].coeffs):
+            mant[e, k] = c.sign * c.mantissa
+            expo[e, k] = c.exp2
+            if k < p:  # (p-k) c_k t^(p-k-1)
+                mant[len(index) + e, k + 1] = c.sign * c.mantissa * (p - k)
+                expo[len(index) + e, k + 1] = c.exp2
+    rows = np.array([i for i, _ in index], dtype=int)
+    cols = np.array([j for _, j in index], dtype=int)
+    return (rows, cols), mant, expo
+
+
+def _horner(cm, ce, ts):
+    """Horner evaluation of polynomials in mantissa/exponent form.
+
+    Row r of ``cm``/``ce`` holds the coefficients of one polynomial, highest
+    power first.  Every step rounds like a float Horner step, but the value
+    is carried as mantissa * 2**exponent with a separate integer exponent,
+    so no step overflows or underflows.  Returns (mantissa, exponent) arrays
+    of shape (len(ts), rows); zero values keep an exponent near ZERO_EXP,
+    far below every nonzero one.
+    """
+    tm, te = np.frexp(ts)
+    tm = tm[:, None]
+    # at t = 0 each step leaves only the next coefficient: the sentinel keeps
+    # the zeroed accumulator from setting the alignment exponent
+    te = np.where(ts == 0.0, ZERO_EXP, te).astype(np.int32)[:, None]
+    am = np.repeat(cm[None, :, 0], ts.size, axis=0)
+    ae = np.repeat(ce[None, :, 0], ts.size, axis=0)
+    for k in range(1, cm.shape[1]):
+        am *= tm
+        ae += te
+        top = np.maximum(ae, ce[:, k])
+        am = np.ldexp(am, np.subtract(ae, top, out=ae))
+        am += np.ldexp(cm[:, k], ce[:, k] - top)
+        am, ae = np.frexp(am)
+        ae += top
+    return am, ae
 
 
 @lru_cache(maxsize=32)

@@ -3,9 +3,12 @@
 Kernel matrices are tiny (dimension 2*gamma/beta, rarely above ~30) but their
 entries span enormous ranges, so the LU elimination runs on signed-log values
 with the pivot row rescaled to unit log-magnitude before each elimination
-step.  Data matrices W are ordinary numpy arrays; their smallest singular
-value comes from the bidiagonalization + implicit-shift QR driver, which
-avoids squaring the condition number that eigensolving W W^dag would cost.
+step.  On grids, a stack of kernels arrives as float mantissas with separate
+binary exponents; each row is scaled by its largest exponent and the stack
+goes through one batched LAPACK determinant and one batched solve.  Data
+matrices W are ordinary numpy arrays; their smallest singular value comes
+from the bidiagonalization + implicit-shift QR driver, which avoids squaring
+the condition number that eigensolving W W^dag would cost.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ __all__ = [
     "SignedLogMatrix",
     "logdet_lu",
     "sqrt_det_antisymmetric",
+    "ZERO_EXP",
+    "jacobi_gap_density",
     "smallest_singular_value",
     "gram",
 ]
@@ -38,6 +43,12 @@ __all__ = [
 # |det| below exp(log_scale) * ANTISYM_NOISE_FLOOR counts as roundoff zero
 ANTISYM_NOISE_FLOOR = 1e-10
 ANTISYM_REL_TOL = 1e-12
+
+# binary exponent carried by a zero mantissa: far below every real exponent,
+# yet sums and differences of two exponents still fit in an int32
+ZERO_EXP = -(1 << 29)
+
+_LN2 = math.log(2.0)
 
 
 class SignedLogMatrix:
@@ -163,6 +174,40 @@ def sqrt_det_antisymmetric(m: SignedLogMatrix) -> SignedLog:
             "determinant of antisymmetric matrix is negative beyond the noise floor"
         )
     return signedlog_sqrt(det)
+
+
+def jacobi_gap_density(log_pref, rate, power, mant, expo, dmant=None, dexpo=None):
+    """Gap exp(log_pref) * det(Q)^power and density -d(gap)/dt on a stack of kernels.
+
+    ``mant`` and ``expo`` hold Q = mant * 2**expo entrywise, shape (n, d, d),
+    and ``dmant``/``dexpo`` its entrywise derivative Q' in the same form;
+    zero entries carry exponent ``ZERO_EXP``.  Every row of Q and Q' is
+    scaled by the largest exponent in that row of Q, which leaves
+    tr(Q^-1 Q') unchanged, so Jacobi's formula gives the density as
+
+        gap * (rate - power * tr(Q^-1 Q')),
+
+    one batched solve for the whole stack.  Points whose determinant is not
+    positive get gap 0; a negative density from cancellation where the gap
+    is close to 1 is clamped to 0.  Returns the pair (gap, density), with
+    density None when no derivative is given.  Every point is computed
+    independently, so an element does not depend on the rest of the stack.
+    """
+    top = expo.max(axis=2, keepdims=True)
+    scaled = np.ldexp(mant, expo - top)
+    sign, logabs = np.linalg.slogdet(scaled)
+    ok = sign > 0
+    log_det = logabs[ok] + _LN2 * top[ok, :, 0].sum(axis=1)
+    gap = np.zeros(mant.shape[0])
+    gap[ok] = np.exp(log_pref[ok] + power * log_det)
+    if dmant is None:
+        return gap, None
+    sol = np.linalg.solve(scaled[ok], np.ldexp(dmant[ok], dexpo[ok] - top[ok]))
+    trace = np.zeros(mant.shape[0])
+    for i in range(mant.shape[1]):  # a fixed summation order, whatever the stack size
+        trace[ok] += sol[:, i, i]
+    density = gap * (rate - power * trace)
+    return gap, np.where(density > 0.0, density, 0.0)
 
 
 def smallest_singular_value(w) -> float:

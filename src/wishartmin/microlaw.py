@@ -5,23 +5,24 @@ measured in units of the local mean level spacing through u = 4*p*eta*t
 (eta the mean inverse population eigenvalue), the gap probability becomes
 spectrum independent:
 
-    gap(u) = exp(-beta*u/8) * det^(beta/2)[ qt_ij * L0_ij(u) ]
+    gap(u) = exp(-beta*u/8) * det^(beta/2)[ qt_ij * F_{kp-i-j}(u/4) ]
 
-with Bessel-kernel entries
+with the Bessel kernel written through x = sqrt(u) and q = u/4 as
 
-    L(l)_ij(u) = (u/4)^((i+j-kp)/2) * I_{kp + delta(i,l) - i - j}(sqrt(u)),
+    F_nu(q) = (x/2)^-nu * I_nu(x) = sum_k q^k / (k! (k+nu)!),
 
 kp = 2*(gamma+1)/beta, qt_ij = (j-i) for beta=1 and (-1)^(i+1) for beta=2,
-and indices running over the kernel dimension 2*gamma/beta.  The density is
-the exact u-derivative -d(gap)/du; differentiating one kernel row shifts
-its Bessel order up by one and pulls out a factor 1/(2*sqrt(u)), giving
+and indices running over the kernel dimension 2*gamma/beta.  A negative
+order -m uses I_{-m} = I_m, i.e. F_{-m}(q) = q^m * F_m(q).  Term by term,
+dF_nu/du = F_{nu+1}/4, so the kernel's u-derivative Q' is the order-shifted
+kernel times 1/4 and Jacobi's formula gives the density
 
-    pmin(u) = beta/8 * gap(u)
-              - beta/(4*sqrt(u)) * exp(-beta*u/8)
-                * sum_l det[qt*L(l)] / det^(1-beta/2)[qt*L0].
+    pmin(u) = -d(gap)/du = gap(u) * (beta/8 - (beta/2) * tr(Q^-1 Q')).
 
-Verified against central differences of gap(u) and against the rescaled
-exact finite-p law.
+Both are evaluated on a whole u grid at once: one vectorized series for
+every order, one batched determinant and one batched solve.  Verified
+against central differences of gap(u), against the rescaled exact
+finite-p law and against a high-precision oracle.
 """
 
 from __future__ import annotations
@@ -32,19 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactlaw import DensityResult
-from .linalg import SignedLogMatrix, logdet_lu, sqrt_det_antisymmetric
-from .numerics import (
-    SLOG_ZERO,
-    SignedLog,
-    bessel_i_signedlog,
-    signedlog_add,
-    signedlog_from_float,
-    signedlog_inv,
-    signedlog_mul,
-    signedlog_pow_int,
-    signedlog_sqrt,
-    signedlog_to_float,
-)
+from .linalg import ZERO_EXP, jacobi_gap_density
+from .linalg import logdet_lu, sqrt_det_antisymmetric  # noqa: F401  wrapped by bench/tracer.py
+from .numerics import BESSEL_MAX_ORDER
+from .numerics import bessel_i_signedlog  # noqa: F401  wrapped by bench/tracer.py
 from .spectra import EmpiricalSpectrum, EnsembleConfig, eta_scale
 
 __all__ = [
@@ -82,26 +74,79 @@ def make_micro_config(beta: int, gamma: int) -> MicroConfig:
     )
 
 
-def _micro_q(i: int, j: int, beta: int) -> int:
-    return (j - i) if beta == 1 else (-1) ** (i + 1)
+def _bessel_series(q: np.ndarray, max_order: int) -> np.ndarray:
+    """F_m(q) = sum_k q^k / (k! (k+m)!) for m = 0..max_order, shape (len(q), max_order+1).
+
+    Terms are summed until each drops below 1e-17 of its running sum, below
+    half an ulp, so later terms could not change the sum and a point's value
+    does not depend on the other points of the grid.
+    """
+    if max_order > BESSEL_MAX_ORDER:
+        raise ValueError(f"Bessel order {max_order} exceeds supported maximum {BESSEL_MAX_ORDER}")
+    orders = np.arange(max_order + 1)
+    qq = q[:, None]
+    term = np.ones((q.size, max_order + 1))
+    total = term.copy()
+    k = 0
+    while True:
+        k += 1
+        term *= qq / (k * (k + orders))
+        total += term
+        if np.all(term < 1e-17 * total):
+            break
+    return total / np.array([float(math.factorial(m)) for m in orders])
 
 
-def _entry_slog(l: int, i: int, j: int, u: float, micro: MicroConfig) -> SignedLog:
-    """L(l)_ij(u) as a SignedLog, without the qt weight."""
-    kp = micro.kappa_prime
-    order = kp + (1 if i == l else 0) - i - j
-    bess = bessel_i_signedlog(order, math.sqrt(u))
-    pw = i + j - kp  # power of sqrt(u/4)
-    quarter_u = signedlog_from_float(0.25 * u)
-    if pw % 2 == 0:
-        scale = signedlog_pow_int(quarter_u, pw // 2)
-    else:
-        scale = signedlog_sqrt(signedlog_pow_int(quarter_u, pw))
-    return signedlog_mul(scale, bess)
+def _order_table(q: np.ndarray, lo: int, hi: int):
+    """F_nu(q) for nu = lo..hi as (mantissa, exponent) arrays of shape (len(q), hi-lo+1).
+
+    The factor q^m of a negative order -m is carried as a separate binary
+    exponent, so tiny u neither underflows nor loses relative accuracy.
+    """
+    nus = np.arange(lo, hi + 1)
+    m = np.abs(nus)
+    series = _bessel_series(q, int(m.max()))[:, m]
+    qm, qe = np.frexp(q)
+    neg = nus < 0
+    mant, expo = np.frexp(series * np.where(neg, qm[:, None] ** m, 1.0))
+    return mant, expo + np.where(neg, qe[:, None] * m, 0)
+
+
+def _check_u(u) -> np.ndarray:
+    us = np.asarray(u, dtype=float)
+    if us.ndim > 1:
+        raise ValueError("expected a float or a 1-d array of u values")
+    bad = us[~((us > 0) & np.isfinite(us))]
+    if bad.size:
+        raise ValueError(f"u must be positive and finite, got {bad.flat[0]}")
+    return us
+
+
+def _evaluate(us: np.ndarray, micro: MicroConfig, derivative: bool):
+    """(gap, pmin) on a 1-d u grid; pmin is None unless ``derivative``."""
+    beta, dim, kp = micro.beta, micro.kernel_dim, micro.kappa_prime
+    log_pref = -beta * us / 8.0
+    if dim == 0:
+        gap = np.exp(log_pref)
+        return gap, beta / 8.0 * gap
+    idx = np.arange(1, dim + 1)
+    i, j = idx[:, None], idx[None, :]
+    weight = (j - i) if beta == 1 else np.broadcast_to((-1) ** (i + 1), (dim, dim))
+    lo = kp - 2 * dim
+    mant, expo = _order_table(0.25 * us, lo, kp - 1 if derivative else kp - 2)
+    col = kp - i - j - lo
+    stacks = [weight * mant[:, col], np.where(weight != 0, expo[:, col], ZERO_EXP)]
+    if derivative:
+        # Q' is the kernel one order up, times 1/4 (taken into the exponent)
+        stacks += [weight * mant[:, col + 1], np.where(weight != 0, expo[:, col + 1] - 2, ZERO_EXP)]
+    return jacobi_gap_density(log_pref, beta / 8.0, 0.5 * beta, *stacks)
 
 
 def l_kernel(l: int, i: int, j: int, u: float, micro: MicroConfig) -> float:
-    """Bessel kernel entry L(l)_ij(u); l = 0 is the undifferentiated kernel."""
+    """Bessel kernel entry L(l)_ij(u) = (u/4)^((i+j-kp)/2) I_{kp+delta(i,l)-i-j}(sqrt(u)).
+
+    l = 0 is the undifferentiated kernel; row l = i has its order raised by one.
+    """
     dim = micro.kernel_dim
     if not (1 <= i <= dim and 1 <= j <= dim):
         raise IndexError(f"kernel indices must lie in 1..{dim}, got ({i}, {j})")
@@ -109,88 +154,30 @@ def l_kernel(l: int, i: int, j: int, u: float, micro: MicroConfig) -> float:
         raise IndexError(f"row index must be 0 or lie in 1..{dim}, got {l}")
     if not u > 0:
         raise ValueError(f"u must be positive, got {u}")
-    return signedlog_to_float(_entry_slog(l, i, j, u, micro))
+    order = micro.kappa_prime - i - j + (i == l)
+    mant, expo = _order_table(np.array([0.25 * u]), order, order)
+    # F_order carries (x/2)^-order; a raised row keeps the power (x/2)^-(order-1)
+    scale = math.sqrt(0.25 * u) if i == l else 1.0
+    return scale * math.ldexp(float(mant[0, 0]), int(expo[0, 0]))
 
 
-def _kernel_matrix(u: float, micro: MicroConfig, l: int) -> SignedLogMatrix:
-    dim = micro.kernel_dim
-    rows = []
-    for i in range(1, dim + 1):
-        row = []
-        for j in range(1, dim + 1):
-            q = _micro_q(i, j, micro.beta)
-            if q == 0:
-                row.append(SLOG_ZERO)
-                continue
-            entry = signedlog_mul(
-                signedlog_from_float(float(q)), _entry_slog(l, i, j, u, micro)
-            )
-            row.append(entry)
-        rows.append(row)
-    return SignedLogMatrix(rows)
+def micro_gap(u, micro: MicroConfig):
+    """Limiting gap probability at rescaled position u > 0 (a float or a 1-d array)."""
+    us = _check_u(u)
+    gap = _evaluate(np.atleast_1d(us), micro, derivative=False)[0]
+    return float(gap[0]) if us.ndim == 0 else gap
 
 
-def _det_l0(u: float, micro: MicroConfig) -> SignedLog:
-    mat = _kernel_matrix(u, micro, 0)
-    if micro.beta == 1:
-        return sqrt_det_antisymmetric(mat)  # already the 1/2 power
-    return logdet_lu(mat)
-
-
-def micro_gap(u: float, micro: MicroConfig) -> float:
-    """Limiting gap probability at rescaled position u > 0."""
-    if not u > 0:
-        raise ValueError(f"u must be positive, got {u}")
-    log_pref = -micro.beta * u / 8.0
-    if micro.kernel_dim == 0:
-        return math.exp(log_pref)
-    det = _det_l0(u, micro)  # already det^(1/2) for beta=1
-    if det.sign <= 0:
-        return 0.0
-    return signedlog_to_float(signedlog_mul(det, SignedLog.from_logmag(1, log_pref)))
-
-
-def micro_pmin(u: float, micro: MicroConfig) -> float:
-    """Limiting smallest-eigenvalue density at rescaled position u > 0."""
-    return micro_pmin_detailed(u, micro).value
+def micro_pmin(u, micro: MicroConfig):
+    """Limiting smallest-eigenvalue density at u > 0 (a float or a 1-d array)."""
+    us = _check_u(u)
+    pmin = _evaluate(np.atleast_1d(us), micro, derivative=True)[1]
+    return float(pmin[0]) if us.ndim == 0 else pmin
 
 
 def micro_pmin_detailed(u: float, micro: MicroConfig) -> DensityResult:
-    if not u > 0:
-        raise ValueError(f"u must be positive, got {u}")
-    beta = micro.beta
-    term1 = beta / 8.0 * micro_gap(u, micro)
-    if micro.kernel_dim == 0:
-        return DensityResult(term1)
-    g_sum = SLOG_ZERO
-    for l in range(1, micro.kernel_dim + 1):
-        g_sum = signedlog_add(g_sum, logdet_lu(_kernel_matrix(u, micro, l)))
-    outer = signedlog_mul(
-        signedlog_mul(
-            signedlog_from_float(beta / 4.0),
-            signedlog_inv(signedlog_sqrt(signedlog_from_float(u))),
-        ),
-        SignedLog.from_logmag(1, -beta * u / 8.0),
-    )
-    if beta == 2:
-        term2 = signedlog_mul(g_sum, outer)
-    else:
-        den = _det_l0(u, micro)
-        if den.sign == 0:
-            return DensityResult(_micro_fd(u, micro), used_fallback=True)
-        term2 = signedlog_mul(signedlog_mul(g_sum, signedlog_inv(den)), outer)
-    value = term1 - signedlog_to_float(term2)
-    return DensityResult(value if value > 0.0 else 0.0)
-
-
-def _micro_fd(u: float, micro: MicroConfig) -> float:
-    h = 1e-6 * u
-    stencil = (
-        micro_gap(u - 2 * h, micro) - 8.0 * micro_gap(u - h, micro)
-        + 8.0 * micro_gap(u + h, micro) - micro_gap(u + 2 * h, micro)
-    )
-    value = -stencil / (12.0 * h)
-    return value if value > 0.0 else 0.0
+    """Density at one u > 0: a 1-point micro_pmin."""
+    return DensityResult(micro_pmin(float(u), micro))
 
 
 def micro_rescale(t_values, spectrum: EmpiricalSpectrum, config: EnsembleConfig) -> np.ndarray:

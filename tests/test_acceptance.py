@@ -57,6 +57,7 @@ def support_grid(gap, points=400, q=1e-3, hi_start=1.0):
     return np.linspace(quantile(q), quantile(1.0 - q), points)
 
 
+@pytest.mark.slow
 def test_criterion_01_benchmark_monte_carlo():
     t0 = time.perf_counter()
     details = []
@@ -77,6 +78,7 @@ def test_criterion_01_benchmark_monte_carlo():
     )
 
 
+@pytest.mark.slow
 def test_criterion_02_micro_universality_p200():
     t0 = time.perf_counter()
     cfg = make_config(2, 200, 202)

@@ -211,6 +211,19 @@ class TestVerify:
             hist = fh.read().splitlines()
         assert hist[1] == "bin_left,bin_right,density,analytic_pmin"
 
+    def test_histogram_columns_are_plain_floats(self, small_file, tmp_path):
+        out = str(tmp_path / "hist.json")
+        rc = main([
+            "verify", "--mode", "exact", "--beta", "2", "--p", "3", "--n", "5",
+            "--spectrum", small_file, "--count", "2000", "--seed", "5",
+            "--bins", "20", "--out", out,
+        ])
+        assert rc == 0
+        header, rows = read_csv(out + ".hist.csv")  # float() on every cell
+        assert header == ["bin_left", "bin_right", "density", "analytic_pmin"]
+        assert rows.shape == (20, 4)
+        assert np.all(rows[1:, 0] == rows[:-1, 1])
+
     def test_wrong_law_fails_with_exit_1(self, small_file, tmp_path):
         out = str(tmp_path / "neg.json")
         rc = main([

@@ -6,11 +6,9 @@ import pytest
 
 from wishartmin.exactlaw import (
     ExactLaw,
-    build_g_polynomials,
     build_q_polynomials,
     gap_probability,
     pmin_density,
-    pmin_density_detailed,
     q_prefactor,
 )
 from wishartmin.numerics import adaptive_quadrature, signedlog_to_float
@@ -96,31 +94,6 @@ class TestKernelPolynomials:
                     a, b = vals[i][j], vals[j][i]
                     assert a.sign == -b.sign
                     assert a.mantissa == b.mantissa and a.exp2 == b.exp2
-
-    def test_derivative_of_linear_kernel(self):
-        table = build_q_polynomials(EmpiricalSpectrum((1.0,)), make_config(2, 1, 2))
-        g = build_g_polynomials(1, table)
-        assert signedlog_to_float(g[0][0].evaluate(0.7)) == pytest.approx(1.0, rel=1e-14)
-
-    def test_g_table_shares_untouched_rows(self):
-        cfg = make_config(2, 3, 5)
-        table = build_q_polynomials(EmpiricalSpectrum((1.0, 2.0, 3.0)), cfg)
-        g = build_g_polynomials(2, table)
-        assert g[0] is table[0]
-        assert g[1] is not table[1]
-
-    def test_g_row_index_validated(self):
-        table = build_q_polynomials(BENCH10, CFG_BENCH10)
-        with pytest.raises(IndexError):
-            build_g_polynomials(0, table)
-        with pytest.raises(IndexError):
-            build_g_polynomials(3, table)
-
-    def test_zero_rows_stay_zero_under_derivative(self):
-        cfg = make_config(2, 1, 5)
-        table = build_q_polynomials(EmpiricalSpectrum((2.0,)), cfg)
-        g = build_g_polynomials(4, table)
-        assert g[3][3].is_zero
 
     def test_spectrum_config_mismatch(self):
         with pytest.raises(ValueError):
@@ -246,10 +219,6 @@ class TestPminDensity:
         with pytest.raises(ValueError):
             pmin_density(-1.0, BENCH10, CFG_BENCH10)
 
-    def test_no_fallback_on_healthy_grid(self):
-        for t in (0.02, 0.1, 0.35):
-            assert not pmin_density_detailed(t, BENCH10, CFG_BENCH10).used_fallback
-
     def test_permutation_bit_identity(self):
         rng = random.Random(43)
         lams = [rng.uniform(0.3, 20.0) for _ in range(5)]
@@ -260,32 +229,6 @@ class TestPminDensity:
             assert pmin_density(t, EmpiricalSpectrum(tuple(lams)), cfg) == pmin_density(
                 t, EmpiricalSpectrum(tuple(perm)), cfg
             )
-
-    def test_fallback_on_degenerate_denominator(self, monkeypatch):
-        # force the beta=1 denominator below the noise floor: the density
-        # must switch to the flagged finite-difference path and stay close
-        # to the healthy value
-        import wishartmin.exactlaw as mod
-        from wishartmin.numerics import SLOG_ZERO
-
-        law = ExactLaw(BENCH10, CFG_BENCH10)
-        t = 0.15
-        healthy = law.density_detailed(t)
-        assert not healthy.used_fallback
-        # starve only the denominator determinant (the second call in
-        # density_detailed); the fallback's own gap evaluations need the
-        # real one
-        real = mod.sqrt_det_antisymmetric
-        calls = {"n": 0}
-
-        def fake(m):
-            calls["n"] += 1
-            return SLOG_ZERO if calls["n"] == 2 else real(m)
-
-        monkeypatch.setattr(mod, "sqrt_det_antisymmetric", fake)
-        forced = law.density_detailed(t)
-        assert forced.used_fallback
-        assert forced.value == pytest.approx(healthy.value, rel=1e-6)
 
 
 class TestLargeP:

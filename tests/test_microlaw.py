@@ -9,7 +9,6 @@ from wishartmin.microlaw import (
     make_micro_config,
     micro_gap,
     micro_pmin,
-    micro_pmin_detailed,
     micro_rescale,
     micro_unscale,
 )
@@ -130,36 +129,6 @@ class TestMicroPmin:
     def test_rejects_non_positive_u(self):
         with pytest.raises(ValueError):
             micro_pmin(0.0, make_micro_config(2, 1))
-
-    def test_no_fallback_on_healthy_points(self):
-        m = make_micro_config(1, 2)
-        for u in (0.5, 5.0, 20.0):
-            assert not micro_pmin_detailed(u, m).used_fallback
-
-    def test_fallback_on_degenerate_denominator(self, monkeypatch):
-        import wishartmin.microlaw as mod
-        from wishartmin.numerics import SLOG_ZERO
-
-        m = make_micro_config(1, 2)
-        u = 6.0
-        healthy = micro_pmin_detailed(u, m)
-        assert not healthy.used_fallback
-        real_det = mod._det_l0
-        # starve only the denominator call inside micro_pmin_detailed; the
-        # finite-difference fallback itself goes through micro_gap, which
-        # must keep the real determinant
-        calls = {"n": 0}
-
-        def fake(uu, micro):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                return SLOG_ZERO
-            return real_det(uu, micro)
-
-        monkeypatch.setattr(mod, "_det_l0", fake)
-        forced = mod.micro_pmin_detailed(u, m)
-        assert forced.used_fallback
-        assert forced.value == pytest.approx(healthy.value, rel=1e-6)
 
 
 class TestMicroRescale:
