@@ -148,6 +148,8 @@ def _load_inputs(args):
 def _grid(lo: float, hi: float, steps: int, name: str) -> np.ndarray:
     if steps < 2:
         raise CliError(f"--{name}-steps must be at least 2, got {steps}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CliError(f"--{name}-min and --{name}-max must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise CliError(f"--{name}-min must be below --{name}-max, got [{lo}, {hi}]")
     return np.linspace(lo, hi, steps)
@@ -189,8 +191,11 @@ def cmd_micro(args, argv) -> int:
         )
         u_min = DEFAULT_U_MIN
     us = _grid(u_min, args.u_max, args.u_steps, "u")
-    gaps = micro_gap(us, micro)
-    pmins = micro_pmin(us, micro)
+    try:
+        gaps = micro_gap(us, micro)
+        pmins = micro_pmin(us, micro)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     lines = [f"# command: {_command_line(argv)}", "u,gap,pmin"]
     for u, gap, pmin in zip(us.tolist(), gaps.tolist(), pmins.tolist()):
         lines.append(f"{u!r},{gap!r},{pmin!r}")
@@ -234,16 +239,16 @@ def cmd_verify(args, argv) -> int:
         cdf_vals = 1.0 - law.gap_grid(values)
         density_grid = law.density_grid
     else:
-        micro = make_micro_config(law_config.beta, law_config.gamma)
+        try:
+            micro = make_micro_config(law_config.beta, law_config.gamma)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         positions = micro_rescale(values, spectrum, config)
         cdf_vals = 1.0 - micro_gap(positions, micro)
         density_grid = lambda us: micro_pmin(us, micro)  # noqa: E731
 
     try:
-        # the callable is only ever handed the full sorted position array
-        report = ks_statistic(
-            positions, lambda _xs: cdf_vals, alpha=args.alpha, threshold=args.ks_threshold
-        )
+        report = ks_statistic(positions, cdf_vals, alpha=args.alpha, threshold=args.ks_threshold)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -311,10 +316,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args, argv)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OverflowError, ArithmeticError) as exc:
+    except (CliError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

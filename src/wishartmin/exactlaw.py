@@ -20,29 +20,23 @@ for beta=2.  By Jacobi's formula the density of the smallest eigenvalue is
 with r = tr(beta/(2*lam)) and Q' the term-wise t-derivative of the kernel:
 one small linear solve per point.
 
-Coefficients are built in signed-log form.  The grid engine
-evaluates Q and Q' by Horner's rule with float mantissas and separate
-binary exponents, scales each row by its largest entry and hands the
-whole stack to one batched determinant and one batched solve; t = 0 reads
-the constant coefficients directly.  The density and its scalar API use
-only that engine.  The scalar gap keeps a signed-log LU determinant.
+Coefficients are built in signed-log form.  One grid engine evaluates Q
+and Q' by Horner's rule with float mantissas and separate binary
+exponents, scales each row by its largest entry and hands the whole stack
+to one batched determinant and one batched solve; t = 0 reads the
+constant coefficients directly.  The scalar gap and density are 1-point
+calls into that engine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (
-    ZERO_EXP,
-    SignedLogMatrix,
-    jacobi_gap_density,
-    logdet_lu,
-    sqrt_det_antisymmetric,
-)
+from .linalg import ZERO_EXP, jacobi_gap_density
+from .linalg import logdet_lu, sqrt_det_antisymmetric  # noqa: F401  wrapped by bench/tracer.py
 from .numerics import (
     SLOG_ZERO,
     SignedLog,
@@ -52,7 +46,6 @@ from .numerics import (
     signedlog_inv,
     signedlog_mul,
     signedlog_pow_int,
-    signedlog_to_float,
 )
 from .spectra import (
     EmpiricalSpectrum,
@@ -67,9 +60,6 @@ __all__ = [
     "q_prefactor",
     "build_q_polynomials",
     "ExactLaw",
-    "gap_probability",
-    "pmin_density",
-    "pmin_density_detailed",
 ]
 
 
@@ -92,7 +82,11 @@ class KernelPolynomial:
         return not self.coeffs
 
     def evaluate(self, t: float) -> SignedLog:
-        """Horner evaluation in signed-log arithmetic; t must be >= 0."""
+        """Horner evaluation in signed-log arithmetic; t must be >= 0.
+
+        The laws evaluate their kernels on the grid engine; this scalar
+        evaluator stays because bench/tracer.py wraps it by name.
+        """
         if not self.coeffs:
             return SLOG_ZERO
         tail = self.degree - (len(self.coeffs) - 1)
@@ -178,43 +172,23 @@ class ExactLaw:
             self.q_table, config.p
         )
 
-    # -- scalar signed-log path ------------------------------------------
-
-    def _log_prefactor(self, t: float) -> float:
-        return -self.trace_rate * t - self.config.gamma * self.log_det_lambda
-
-    def _matrix_at(self, t: float, table) -> SignedLogMatrix:
-        return SignedLogMatrix([[poly.evaluate(t) for poly in row] for row in table])
-
-    def _det_q(self, t: float) -> SignedLog:
-        mat = self._matrix_at(t, self.q_table)
-        if self.config.beta == 1:
-            return sqrt_det_antisymmetric(mat)  # already the 1/2 power
-        return logdet_lu(mat)
-
     def gap(self, t: float) -> float:
-        """Gap probability E(t); 1 at t = 0, decaying to 0."""
+        """Gap probability E(t), 1 at t = 0 and decaying to 0: a 1-point gap_grid."""
         if t < 0 or not math.isfinite(t):
             raise ValueError(f"t must be non-negative and finite, got {t}")
-        log_pref = self._log_prefactor(t)
-        if self.config.kernel_dim == 0:
-            return math.exp(log_pref)
-        det = self._det_q(t)  # already det^(1/2) for beta=1
-        if det.sign <= 0:
-            return 0.0
-        val = signedlog_to_float(signedlog_mul(det, SignedLog.from_logmag(1, log_pref)))
-        return val
+        return float(self.gap_grid(np.array([float(t)]))[0])
 
     def density(self, t: float) -> float:
         return self.density_detailed(t).value
 
     def density_detailed(self, t: float) -> DensityResult:
-        """Smallest-eigenvalue density -dE/dt at t: a 1-point density_grid."""
+        """Smallest-eigenvalue density -dE/dt at t: a 1-point density_grid.
+
+        bench/tracer.py wraps this method by name.
+        """
         if t < 0 or not math.isfinite(t):
             raise ValueError(f"t must be non-negative and finite, got {t}")
         return DensityResult(float(self.density_grid(np.array([float(t)]))[0]))
-
-    # -- vectorized grid path --------------------------------------------
 
     def gap_grid(self, ts) -> np.ndarray:
         """Gap probability on a 1-d array of t values."""
@@ -310,26 +284,3 @@ def _horner(cm, ce, ts):
         am, ae = np.frexp(am)
         ae += top
     return am, ae
-
-
-@lru_cache(maxsize=32)
-def _law(spectrum: EmpiricalSpectrum, config: EnsembleConfig) -> ExactLaw:
-    return ExactLaw(spectrum, config)
-
-
-def gap_probability(t: float, spectrum: EmpiricalSpectrum, config: EnsembleConfig) -> float:
-    """E(t): probability that all eigenvalues of W W^dag lie in [t, inf)."""
-    return _law(spectrum, config).gap(t)
-
-
-def pmin_density(t: float, spectrum: EmpiricalSpectrum, config: EnsembleConfig) -> float:
-    """Density of the smallest eigenvalue at t > 0."""
-    return pmin_density_detailed(t, spectrum, config).value
-
-
-def pmin_density_detailed(
-    t: float, spectrum: EmpiricalSpectrum, config: EnsembleConfig
-) -> DensityResult:
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    return _law(spectrum, config).density_detailed(t)

@@ -1,14 +1,15 @@
-"""Dense matrix kernels: log-domain determinants and smallest singular values.
+"""Dense matrix kernels: the batched gap/density engine and smallest singular values.
 
 Kernel matrices are tiny (dimension 2*gamma/beta, rarely above ~30) but their
-entries span enormous ranges, so the LU elimination runs on signed-log values
+entries span enormous ranges.  Both laws hand this module a whole grid of
+kernels as float mantissas with separate binary exponents; each row is
+scaled by its largest exponent and the stack goes through one batched
+LAPACK determinant and one batched solve.  A signed-log LU determinant,
 with the pivot row rescaled to unit log-magnitude before each elimination
-step.  On grids, a stack of kernels arrives as float mantissas with separate
-binary exponents; each row is scaled by its largest exponent and the stack
-goes through one batched LAPACK determinant and one batched solve.  Data
-matrices W are ordinary numpy arrays; their smallest singular value comes
-from the bidiagonalization + implicit-shift QR driver, which avoids squaring
-the condition number that eigensolving W W^dag would cost.
+step, remains as a scalar reference that no law calls.  Data matrices W
+are ordinary numpy arrays; their smallest singular value comes from the
+bidiagonalization + implicit-shift QR driver, which avoids squaring the
+condition number that eigensolving W W^dag would cost.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .numerics import (
     SLOG_ZERO,
     SignedLog,
     signedlog_add,
-    signedlog_from_float,
     signedlog_inv,
     signedlog_mul,
     signedlog_neg,
@@ -37,7 +37,6 @@ __all__ = [
     "ZERO_EXP",
     "jacobi_gap_density",
     "smallest_singular_value",
-    "gram",
 ]
 
 # |det| below exp(log_scale) * ANTISYM_NOISE_FLOOR counts as roundoff zero
@@ -67,10 +66,6 @@ class SignedLogMatrix:
                     raise TypeError("matrix entries must be SignedLog values")
         self.dim = d
         self.rows = rows
-
-    @classmethod
-    def from_floats(cls, array) -> "SignedLogMatrix":
-        return cls([[signedlog_from_float(float(x)) for x in row] for row in array])
 
     def entry(self, i: int, j: int) -> SignedLog:
         return self.rows[i][j]
@@ -226,14 +221,3 @@ def smallest_singular_value(w) -> float:
         raise ValueError("matrix entries must be finite")
     s = scipy.linalg.svd(w, compute_uv=False, lapack_driver="gesvd")
     return float(s[-1])
-
-
-def gram(w) -> np.ndarray:
-    """W W^dag (conjugate transpose for complex W), exactly self-adjoint.
-
-    The two triangles are averaged so the self-adjointness residual is
-    identically zero and the diagonal is real and non-negative.
-    """
-    w = np.asarray(w)
-    a = w @ w.conj().T
-    return 0.5 * (a + a.conj().T)

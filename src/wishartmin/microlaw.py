@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlaw import DensityResult
 from .linalg import ZERO_EXP, jacobi_gap_density
 from .linalg import logdet_lu, sqrt_det_antisymmetric  # noqa: F401  wrapped by bench/tracer.py
 from .numerics import BESSEL_MAX_ORDER
@@ -42,12 +41,9 @@ from .spectra import EmpiricalSpectrum, EnsembleConfig, eta_scale
 __all__ = [
     "MicroConfig",
     "make_micro_config",
-    "l_kernel",
     "micro_gap",
     "micro_pmin",
-    "micro_pmin_detailed",
     "micro_rescale",
-    "micro_unscale",
 ]
 
 
@@ -66,6 +62,13 @@ def make_micro_config(beta: int, gamma: int) -> MicroConfig:
     if gamma < 0 or int(gamma) != gamma:
         raise ValueError(f"gamma must be a non-negative integer, got {gamma}")
     gamma = int(gamma)
+    # highest |order| of F_nu in the density's kernels Q and Q'
+    order = 2 * gamma + 1 if beta == 1 else gamma
+    if order > BESSEL_MAX_ORDER:
+        raise ValueError(
+            f"gamma={gamma} needs Bessel order {order}, above the supported maximum "
+            f"{BESSEL_MAX_ORDER}"
+        )
     return MicroConfig(
         beta=beta,
         gamma=gamma,
@@ -77,23 +80,28 @@ def make_micro_config(beta: int, gamma: int) -> MicroConfig:
 def _bessel_series(q: np.ndarray, max_order: int) -> np.ndarray:
     """F_m(q) = sum_k q^k / (k! (k+m)!) for m = 0..max_order, shape (len(q), max_order+1).
 
-    Terms are summed until each drops below 1e-17 of its running sum, below
+    Terms are summed until each drops to 1e-17 of its running sum, below
     half an ulp, so later terms could not change the sum and a point's value
-    does not depend on the other points of the grid.
+    does not depend on the other points of the grid.  A sum that overflows
+    (u above about 5e5) raises ValueError.
     """
-    if max_order > BESSEL_MAX_ORDER:
-        raise ValueError(f"Bessel order {max_order} exceeds supported maximum {BESSEL_MAX_ORDER}")
     orders = np.arange(max_order + 1)
     qq = q[:, None]
     term = np.ones((q.size, max_order + 1))
     total = term.copy()
     k = 0
-    while True:
-        k += 1
-        term *= qq / (k * (k + orders))
-        total += term
-        if np.all(term < 1e-17 * total):
-            break
+    with np.errstate(over="ignore"):  # an overflow is reported below, naming u
+        while True:
+            k += 1
+            term *= qq / (k * (k + orders))
+            total += term
+            # <= also stops on an overflowed sum, where term and total are inf
+            if np.all(term <= 1e-17 * total):
+                break
+    # term by term F_0 is the largest sum, so it overflows first
+    finite = np.isfinite(total[:, 0])
+    if not finite.all():
+        raise ValueError(f"hard-edge series overflows at u = {float(4.0 * q[~finite][0])}")
     return total / np.array([float(math.factorial(m)) for m in orders])
 
 
@@ -142,25 +150,6 @@ def _evaluate(us: np.ndarray, micro: MicroConfig, derivative: bool):
     return jacobi_gap_density(log_pref, beta / 8.0, 0.5 * beta, *stacks)
 
 
-def l_kernel(l: int, i: int, j: int, u: float, micro: MicroConfig) -> float:
-    """Bessel kernel entry L(l)_ij(u) = (u/4)^((i+j-kp)/2) I_{kp+delta(i,l)-i-j}(sqrt(u)).
-
-    l = 0 is the undifferentiated kernel; row l = i has its order raised by one.
-    """
-    dim = micro.kernel_dim
-    if not (1 <= i <= dim and 1 <= j <= dim):
-        raise IndexError(f"kernel indices must lie in 1..{dim}, got ({i}, {j})")
-    if l != 0 and not (1 <= l <= dim):
-        raise IndexError(f"row index must be 0 or lie in 1..{dim}, got {l}")
-    if not u > 0:
-        raise ValueError(f"u must be positive, got {u}")
-    order = micro.kappa_prime - i - j + (i == l)
-    mant, expo = _order_table(np.array([0.25 * u]), order, order)
-    # F_order carries (x/2)^-order; a raised row keeps the power (x/2)^-(order-1)
-    scale = math.sqrt(0.25 * u) if i == l else 1.0
-    return scale * math.ldexp(float(mant[0, 0]), int(expo[0, 0]))
-
-
 def micro_gap(u, micro: MicroConfig):
     """Limiting gap probability at rescaled position u > 0 (a float or a 1-d array)."""
     us = _check_u(u)
@@ -175,22 +164,9 @@ def micro_pmin(u, micro: MicroConfig):
     return float(pmin[0]) if us.ndim == 0 else pmin
 
 
-def micro_pmin_detailed(u: float, micro: MicroConfig) -> DensityResult:
-    """Density at one u > 0: a 1-point micro_pmin."""
-    return DensityResult(micro_pmin(float(u), micro))
-
-
 def micro_rescale(t_values, spectrum: EmpiricalSpectrum, config: EnsembleConfig) -> np.ndarray:
     """Map eigenvalue positions t to the hard-edge variable u = 4*p*eta*t."""
     if spectrum.p != config.p:
         raise ValueError(f"spectrum has p={spectrum.p} but config expects p={config.p}")
     scale = 4.0 * config.p * eta_scale(spectrum)
     return np.asarray(t_values, dtype=float) * scale
-
-
-def micro_unscale(u_values, spectrum: EmpiricalSpectrum, config: EnsembleConfig) -> np.ndarray:
-    """Inverse of micro_rescale: t = u / (4*p*eta)."""
-    if spectrum.p != config.p:
-        raise ValueError(f"spectrum has p={spectrum.p} but config expects p={config.p}")
-    scale = 4.0 * config.p * eta_scale(spectrum)
-    return np.asarray(u_values, dtype=float) / scale

@@ -2,8 +2,9 @@
 
 Kernel determinants mix terms like t**(p-k), symmetric polynomials of the
 spectrum and inverse factorials, which together span hundreds of orders of
-magnitude.  All of that arithmetic is done on sign/log-magnitude values and
-converted back to a plain float only at the outermost API boundary.
+magnitude.  The kernel coefficients are built here as sign/log-magnitude
+values; the grid engines then carry them as float mantissas with separate
+binary exponents, so no intermediate overflows or underflows.
 
 A SignedLog value represents sign * exp(logmag).  Internally it carries a
 full double mantissa next to an unbounded binary exponent, so the relative
@@ -34,14 +35,9 @@ __all__ = [
     "factorial_signedlog",
     "bessel_i",
     "bessel_i_signedlog",
-    "log_bessel_i",
-    "adaptive_quadrature",
-    "QuadratureError",
 ]
 
 BESSEL_MAX_ORDER = 64
-
-_SIMPSON_MAX_DEPTH = 40
 
 _LN2 = math.log(2.0)
 
@@ -260,58 +256,3 @@ def bessel_i_signedlog(nu: int, x: float) -> SignedLog:
 def bessel_i(nu: int, x: float) -> float:
     """Modified Bessel function I_nu(x) for integer nu; I_{-m} = I_m."""
     return signedlog_to_float(bessel_i_signedlog(nu, x))
-
-
-def log_bessel_i(nu: int, x: float) -> float:
-    """ln I_nu(x); -inf at x = 0 for nu != 0."""
-    v = bessel_i_signedlog(nu, x)
-    return -math.inf if v.sign == 0 else v.logmag
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge within the depth cap."""
-
-
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
-    return h / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _check_finite(fx: float, x: float) -> float:
-    if not math.isfinite(fx):
-        raise ValueError(f"integrand is not finite at x = {x}")
-    return fx
-
-
-def _adapt(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = _check_finite(f(lm), lm)
-    frm = _check_finite(f(rm), rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise QuadratureError(
-            f"adaptive Simpson did not reach tol={tol} on [{a}, {b}] "
-            f"within {_SIMPSON_MAX_DEPTH} levels"
-        )
-    return _adapt(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _adapt(
-        f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
-    )
-
-
-def adaptive_quadrature(f, a: float, b: float, tol: float) -> float:
-    """Integrate f over [a, b] by adaptive Simpson to absolute tolerance tol."""
-    if not a < b:
-        raise ValueError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    fa = _check_finite(f(a), a)
-    fb = _check_finite(f(b), b)
-    m = 0.5 * (a + b)
-    fm = _check_finite(f(m), m)
-    whole = _simpson(fa, fm, fb, b - a)
-    return _adapt(f, a, b, fa, fm, fb, whole, tol, _SIMPSON_MAX_DEPTH)

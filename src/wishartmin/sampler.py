@@ -23,7 +23,6 @@ from .spectra import EmpiricalSpectrum, EnsembleConfig
 __all__ = [
     "RngStream",
     "SampleBatch",
-    "gaussian_pair",
     "sample_wishart",
     "sample_batch",
     "spectrum_hash",
@@ -45,10 +44,6 @@ class RngStream:
         key = np.array([self.seed & _MASK64, self.stream_index & _MASK64], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def uniforms(self, count: int) -> np.ndarray:
-        """count uniform doubles in [0, 1)."""
-        return self._gen.random(count)
-
     def gaussians(self, count: int) -> np.ndarray:
         """count standard normals via Box-Muller on stream uniforms.
 
@@ -63,12 +58,6 @@ class RngStream:
         z[0::2] = r * np.cos(theta)
         z[1::2] = r * np.sin(theta)
         return z[:count]
-
-
-def gaussian_pair(stream: RngStream):
-    """Two independent standard normal deviates from the stream."""
-    z = stream.gaussians(2)
-    return float(z[0]), float(z[1])
 
 
 def sample_wishart(

@@ -1,8 +1,8 @@
-"""Goodness-of-fit machinery: KS test, histograms, derivative identity checks.
+"""Goodness-of-fit machinery: KS test and histograms.
 
 The primary verification path compares a sorted Monte Carlo batch against the
-analytic CDF F(t) = 1 - E(t) taken directly from the gap probability; no
-quadrature of the density is involved.
+analytic CDF F(t) = 1 - E(t), evaluated at the samples in one gap-grid call;
+no quadrature of the density is involved.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ __all__ = [
     "KsReport",
     "ks_statistic",
     "build_histogram",
-    "derivative_check",
 ]
 
 # asymptotic Kolmogorov quantiles c(alpha): threshold = c / sqrt(N)
@@ -51,23 +50,12 @@ class Histogram:
     count: int
 
 
-def _apply_cdf(cdf, xs: np.ndarray) -> np.ndarray:
-    """Evaluate cdf on all points, preferring one vectorized call."""
-    if xs.size > 1:
-        try:
-            fs = np.asarray(cdf(xs), dtype=float)
-            if fs.shape == xs.shape:
-                return fs
-        except (TypeError, ValueError):
-            pass
-    return np.array([float(cdf(float(x))) for x in xs])
-
-
-def ks_statistic(sorted_samples, cdf, alpha: float = 0.01, threshold=None) -> KsReport:
+def ks_statistic(sorted_samples, cdf_values, alpha: float = 0.01, threshold=None) -> KsReport:
     """One-sample Kolmogorov-Smirnov statistic against a reference CDF.
 
-    D is the sup distance between the empirical step function and F over
-    the sample points.  The pass threshold is c(alpha)/sqrt(N) with the
+    ``cdf_values`` holds F at the sorted samples, an array of the same
+    shape.  D is the sup distance between the empirical step function and
+    F over the sample points.  The pass threshold is c(alpha)/sqrt(N) with the
     asymptotic quantiles c(0.01) = 1.63 and c(0.05) = 1.36; an explicit
     ``threshold`` overrides it (used when comparing against a limiting law
     that carries a known finite-size bias).
@@ -81,7 +69,9 @@ def ks_statistic(sorted_samples, cdf, alpha: float = 0.01, threshold=None) -> Ks
         if alpha not in KS_QUANTILES:
             raise ValueError(f"alpha must be one of {sorted(KS_QUANTILES)}, got {alpha}")
         threshold = KS_QUANTILES[alpha] / math.sqrt(xs.size)
-    fs = _apply_cdf(cdf, xs)
+    fs = np.asarray(cdf_values, dtype=float)
+    if fs.shape != xs.shape:
+        raise ValueError(f"need one cdf value per sample, got shape {fs.shape} for {xs.shape}")
     if np.any(fs < -1e-12) or np.any(fs > 1 + 1e-12):
         raise ValueError("cdf values must lie in [0, 1]")
     n = xs.size
@@ -108,28 +98,3 @@ def build_histogram(samples, bin_count: int) -> Histogram:
     widths = np.diff(edges)
     densities = counts / (xs.size * widths)
     return Histogram(edges=edges, densities=densities, count=int(xs.size))
-
-
-def derivative_check(f, g, grid, rel_step: float, t_scale=None) -> float:
-    """Max relative mismatch between g and -df/dt over the grid.
-
-    Central differences with step h = rel_step * max(t, t_scale); t_scale
-    defaults to the largest grid point, which keeps h sensible near the
-    left end of grids that start close to zero.
-    """
-    pts = [float(t) for t in grid]
-    if not pts:
-        raise ValueError("empty grid")
-    if not rel_step > 0:
-        raise ValueError(f"rel_step must be positive, got {rel_step}")
-    if t_scale is None:
-        t_scale = max(abs(t) for t in pts)
-    gvals = [float(g(t)) for t in pts]
-    eps = 1e-12 * max(1.0, max(abs(v) for v in gvals))
-    worst = 0.0
-    for t, gv in zip(pts, gvals):
-        h = rel_step * max(abs(t), t_scale)
-        slope = (f(t + h) - f(t - h)) / (2.0 * h)
-        err = abs(gv + slope) / max(abs(gv), eps)
-        worst = max(worst, err)
-    return worst

@@ -1,9 +1,9 @@
-"""Independent oracles for the test suite.
+"""Independent oracles and measuring instruments for the test suite.
 
 Everything here deliberately avoids the code paths it is used to check:
 brute-force enumeration, exact rational or high-precision decimal
-arithmetic, recursive determinant/Pfaffian expansions and a cyclic Jacobi
-eigensolver.
+arithmetic, recursive determinant/Pfaffian expansions, a cyclic Jacobi
+eigensolver, adaptive Simpson quadrature and central differences.
 """
 
 import math
@@ -133,3 +133,80 @@ def gamma2_density(t):
 
 def normal_cdf(x):
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+_SIMPSON_MAX_DEPTH = 40
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature failed to converge within the depth cap."""
+
+
+def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
+    return h / 6.0 * (fa + 4.0 * fm + fb)
+
+
+def _check_finite(fx: float, x: float) -> float:
+    if not math.isfinite(fx):
+        raise ValueError(f"integrand is not finite at x = {x}")
+    return fx
+
+
+def _adapt(f, a, b, fa, fm, fb, whole, tol, depth):
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = _check_finite(f(lm), lm)
+    frm = _check_finite(f(rm), rm)
+    left = _simpson(fa, flm, fm, m - a)
+    right = _simpson(fm, frm, fb, b - m)
+    delta = left + right - whole
+    if abs(delta) <= 15.0 * tol:
+        return left + right + delta / 15.0
+    if depth <= 0:
+        raise QuadratureError(
+            f"adaptive Simpson did not reach tol={tol} on [{a}, {b}] "
+            f"within {_SIMPSON_MAX_DEPTH} levels"
+        )
+    return _adapt(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _adapt(
+        f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
+    )
+
+
+def adaptive_quadrature(f, a: float, b: float, tol: float) -> float:
+    """Integrate f over [a, b] by adaptive Simpson to absolute tolerance tol."""
+    if not a < b:
+        raise ValueError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    fa = _check_finite(f(a), a)
+    fb = _check_finite(f(b), b)
+    m = 0.5 * (a + b)
+    fm = _check_finite(f(m), m)
+    whole = _simpson(fa, fm, fb, b - a)
+    return _adapt(f, a, b, fa, fm, fb, whole, tol, _SIMPSON_MAX_DEPTH)
+
+
+def derivative_check(f, g, grid, rel_step: float, t_scale=None) -> float:
+    """Max relative mismatch between g and -df/dt over the grid.
+
+    Central differences with step h = rel_step * max(t, t_scale); t_scale
+    defaults to the largest grid point, which keeps h sensible near the
+    left end of grids that start close to zero.
+    """
+    pts = [float(t) for t in grid]
+    if not pts:
+        raise ValueError("empty grid")
+    if not rel_step > 0:
+        raise ValueError(f"rel_step must be positive, got {rel_step}")
+    if t_scale is None:
+        t_scale = max(abs(t) for t in pts)
+    gvals = [float(g(t)) for t in pts]
+    eps = 1e-12 * max(1.0, max(abs(v) for v in gvals))
+    worst = 0.0
+    for t, gv in zip(pts, gvals):
+        h = rel_step * max(abs(t), t_scale)
+        slope = (f(t + h) - f(t - h)) / (2.0 * h)
+        err = abs(gv + slope) / max(abs(gv), eps)
+        worst = max(worst, err)
+    return worst

@@ -12,9 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wishartmin.exactlaw import ExactLaw, gap_probability, pmin_density
+from wishartmin.exactlaw import ExactLaw
 from wishartmin.microlaw import make_micro_config, micro_gap, micro_pmin, micro_rescale
-from wishartmin.numerics import adaptive_quadrature, bessel_i
+from wishartmin.numerics import bessel_i
 from wishartmin.sampler import sample_batch
 from wishartmin.spectra import (
     EmpiricalSpectrum,
@@ -22,10 +22,16 @@ from wishartmin.spectra import (
     eta_scale,
     make_config,
 )
-from wishartmin.stats import derivative_check, ks_statistic
+from wishartmin.stats import ks_statistic
 
 from conftest import BENCH10_SPECTRUM
-from oracles import enum_elementary_symmetric, fraction_bessel_i, gamma2_density
+from oracles import (
+    adaptive_quadrature,
+    derivative_check,
+    enum_elementary_symmetric,
+    fraction_bessel_i,
+    gamma2_density,
+)
 
 BENCH10 = EmpiricalSpectrum(BENCH10_SPECTRUM)
 BENCH10_NS = (13, 15, 17, 21)
@@ -66,7 +72,7 @@ def test_criterion_01_benchmark_monte_carlo():
         cfg = make_config(1, 10, n)
         law = ExactLaw(BENCH10, cfg)
         batch = sample_batch(BENCH10, cfg, 50_000, seed=seed)
-        report = ks_statistic(batch.values, lambda xs: 1.0 - law.gap_grid(xs), alpha=0.01)
+        report = ks_statistic(batch.values, 1.0 - law.gap_grid(batch.values), alpha=0.01)
         ok = ok and report.passed
         details.append(f"n={n}: D={report.statistic:.5f}")
     thr = 1.63 / math.sqrt(50_000)
@@ -87,7 +93,7 @@ def test_criterion_02_micro_universality_p200():
     us = micro_rescale(batch.values, TWO_POINT_P200, cfg)
     report = ks_statistic(
         us,
-        lambda xs: np.array([1.0 - micro_gap(float(u), micro) for u in xs]),
+        1.0 - micro_gap(us, micro),
         threshold=0.015,  # alpha-based 0.0094 relaxed for finite-p bias at p=200
     )
     announce(
@@ -168,18 +174,17 @@ def test_criterion_05_closed_forms():
             n = p + 1 if beta == 1 else p
             lams = tuple(rng.uniform(0.2, 25.0) for _ in range(p))
             spec = EmpiricalSpectrum(lams)
-            cfg = make_config(beta, p, n)
+            law = ExactLaw(spec, make_config(beta, p, n))
             rate = 0.5 * beta * math.fsum(1.0 / v for v in lams)
             for t in (0.0, 0.05, 0.4, 2.0):
                 want = math.exp(-rate * t)
-                got = gap_probability(t, spec, cfg)
+                got = law.gap(t)
                 worst_gamma0 = max(worst_gamma0, abs(got - want) / want)
-    spec = EmpiricalSpectrum((1.0,))
-    cfg = make_config(2, 1, 2)
+    law = ExactLaw(EmpiricalSpectrum((1.0,)), make_config(2, 1, 2))
     worst_gamma = 0.0
     for t in (0.1, 0.5, 1.0, 2.5, 6.0):
         want = gamma2_density(t)
-        worst_gamma = max(worst_gamma, abs(pmin_density(t, spec, cfg) - want) / want)
+        worst_gamma = max(worst_gamma, abs(law.density(t) - want) / want)
     ok = worst_gamma0 < 1e-14 and worst_gamma < 1e-12
     announce(
         5,

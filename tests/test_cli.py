@@ -279,3 +279,31 @@ def test_subcommand_required():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the hard-edge density needs Bessel order 81, above the supported 64
+        ["micro", "--beta", "1", "--gamma", "40"],
+        # n=91 at p=2 gives gamma=44 and Bessel order 89
+        ["verify", "--mode", "micro", "--beta", "1", "--p", "2", "--n", "91",
+         "--spectrum", "{spectrum}", "--count", "50", "--seed", "1"],
+        ["micro", "--beta", "2", "--gamma", "2", "--u-max", "inf"],
+        ["exact", "--beta", "2", "--p", "2", "--n", "3", "--spectrum", "{spectrum}",
+         "--t-max", "inf"],
+        # the Bessel series overflows at u = 1e6
+        ["micro", "--beta", "2", "--gamma", "2", "--u-min", "1", "--u-max", "1e6",
+         "--u-steps", "3"],
+    ],
+    ids=["micro-gamma-40", "verify-micro-n-91", "micro-u-max-inf", "exact-t-max-inf",
+         "micro-u-1e6"],
+)
+def test_rejected_input_exits_2(argv, tmp_path, capsys):
+    spectrum = tmp_path / "two.txt"
+    spectrum.write_text("1.0\n2.0\n")
+    out = tmp_path / "out"
+    argv = [a.format(spectrum=spectrum) for a in argv] + ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -4,22 +4,17 @@ import random
 import numpy as np
 import pytest
 
-from wishartmin.exactlaw import (
-    ExactLaw,
-    build_q_polynomials,
-    gap_probability,
-    pmin_density,
-    q_prefactor,
-)
-from wishartmin.numerics import adaptive_quadrature, signedlog_to_float
+from wishartmin.exactlaw import ExactLaw, build_q_polynomials, q_prefactor
+from wishartmin.numerics import signedlog_to_float
 from wishartmin.spectra import EmpiricalSpectrum, make_config
 
 from conftest import BENCH10_SPECTRUM
-from oracles import gamma2_density, gamma2_tail
+from oracles import adaptive_quadrature, gamma2_density, gamma2_tail
 
 
 BENCH10 = EmpiricalSpectrum(BENCH10_SPECTRUM)
 CFG_BENCH10 = make_config(1, 10, 13)
+LAW_BENCH10 = ExactLaw(BENCH10, CFG_BENCH10)
 
 
 def random_valid_config(rng):
@@ -102,28 +97,28 @@ class TestKernelPolynomials:
 
 class TestGapProbability:
     def test_is_one_at_zero(self):
-        assert gap_probability(0.0, BENCH10, CFG_BENCH10) == pytest.approx(1.0, abs=1e-10)
+        assert LAW_BENCH10.gap(0.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_gamma0_closed_form(self):
         spec = EmpiricalSpectrum((1.0, 2.0, 4.0))
         cfg = make_config(2, 3, 3)
-        assert gap_probability(0.5, spec, cfg) == pytest.approx(math.exp(-0.875), rel=1e-14)
+        assert ExactLaw(spec, cfg).gap(0.5) == pytest.approx(math.exp(-0.875), rel=1e-14)
 
     def test_wishart_1x2_matches_gamma_tail(self):
         spec = EmpiricalSpectrum((1.0,))
-        cfg = make_config(2, 1, 2)
+        law = ExactLaw(spec, make_config(2, 1, 2))
         for t in (0.1, 1.0, 3.0):
-            assert gap_probability(t, spec, cfg) == pytest.approx(gamma2_tail(t), rel=1e-12)
+            assert law.gap(t) == pytest.approx(gamma2_tail(t), rel=1e-12)
 
     def test_rejects_negative_t(self):
         with pytest.raises(ValueError):
-            gap_probability(-0.1, BENCH10, CFG_BENCH10)
+            LAW_BENCH10.gap(-0.1)
 
     def test_is_one_at_zero_for_random_configs(self):
         rng = random.Random(19)
         for _ in range(50):
             spec, cfg = random_valid_config(rng)
-            assert gap_probability(0.0, spec, cfg) == pytest.approx(1.0, abs=1e-10)
+            assert ExactLaw(spec, cfg).gap(0.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_non_increasing(self):
         rng = random.Random(23)
@@ -140,18 +135,16 @@ class TestGapProbability:
         perm = lams[:]
         rng.shuffle(perm)
         cfg = make_config(1, 6, 9)
+        law = ExactLaw(EmpiricalSpectrum(tuple(lams)), cfg)
+        law_perm = ExactLaw(EmpiricalSpectrum(tuple(perm)), cfg)
         for t in (0.0, 0.05, 0.3):
-            assert gap_probability(t, EmpiricalSpectrum(tuple(lams)), cfg) == gap_probability(
-                t, EmpiricalSpectrum(tuple(perm)), cfg
-            )
+            assert law.gap(t) == law_perm.gap(t)
 
     def test_scaling_covariance(self):
         c = 3.7
-        spec_c = EmpiricalSpectrum(tuple(c * v for v in BENCH10_SPECTRUM))
+        law_c = ExactLaw(EmpiricalSpectrum(tuple(c * v for v in BENCH10_SPECTRUM)), CFG_BENCH10)
         for t in (0.05, 0.2, 0.6):
-            assert gap_probability(t, spec_c, CFG_BENCH10) == pytest.approx(
-                gap_probability(t / c, BENCH10, CFG_BENCH10), rel=1e-10
-            )
+            assert law_c.gap(t) == pytest.approx(LAW_BENCH10.gap(t / c), rel=1e-10)
 
     def test_grid_matches_scalar(self):
         rng = random.Random(37)
@@ -161,28 +154,26 @@ class TestGapProbability:
             ts = np.linspace(0.0, 3.0 / law.trace_rate, 25)
             grid = law.gap_grid(ts)
             scalar = np.array([law.gap(t) for t in ts])
-            assert np.allclose(grid, scalar, rtol=1e-10, atol=1e-300)
+            assert np.array_equal(grid, scalar)
 
 
 class TestPminDensity:
     def test_gamma0_closed_form(self):
         spec = EmpiricalSpectrum((1.0, 2.0, 4.0))
-        cfg = make_config(2, 3, 3)
+        law = ExactLaw(spec, make_config(2, 3, 3))
         # rate = 1 + 0.5 + 0.25 = 1.75, P(t) = 1.75 exp(-1.75 t)
         for t in (1e-9, 0.3, 1.0):
-            assert pmin_density(t, spec, cfg) == pytest.approx(
-                1.75 * math.exp(-1.75 * t), rel=1e-12
-            )
+            assert law.density(t) == pytest.approx(1.75 * math.exp(-1.75 * t), rel=1e-12)
 
     def test_wishart_1x2_matches_gamma_density(self):
         spec = EmpiricalSpectrum((1.0,))
-        cfg = make_config(2, 1, 2)
-        assert pmin_density(1.0, spec, cfg) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        law = ExactLaw(spec, make_config(2, 1, 2))
+        assert law.density(1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
         for t in (0.2, 2.0):
-            assert pmin_density(t, spec, cfg) == pytest.approx(gamma2_density(t), rel=1e-12)
+            assert law.density(t) == pytest.approx(gamma2_density(t), rel=1e-12)
 
     def test_matches_finite_difference_bench10(self):
-        law = ExactLaw(BENCH10, CFG_BENCH10)
+        law = LAW_BENCH10
         h = 4e-6
         for t in np.linspace(0.01, 0.4, 40):
             fd = -(law.gap(t + h) - law.gap(t - h)) / (2 * h)
@@ -208,16 +199,14 @@ class TestPminDensity:
                 assert law.density(t) >= 0.0
 
     def test_integral_matches_gap_drop(self):
-        law = ExactLaw(BENCH10, CFG_BENCH10)
+        law = LAW_BENCH10
         t_max = 0.3
         integral = adaptive_quadrature(law.density, 1e-12, t_max, 1e-9)
         assert integral == pytest.approx(1.0 - law.gap(t_max), abs=1e-8)
 
-    def test_rejects_non_positive_t(self):
+    def test_rejects_negative_t(self):
         with pytest.raises(ValueError):
-            pmin_density(0.0, BENCH10, CFG_BENCH10)
-        with pytest.raises(ValueError):
-            pmin_density(-1.0, BENCH10, CFG_BENCH10)
+            LAW_BENCH10.density(-1.0)
 
     def test_permutation_bit_identity(self):
         rng = random.Random(43)
@@ -225,10 +214,10 @@ class TestPminDensity:
         perm = lams[:]
         rng.shuffle(perm)
         cfg = make_config(2, 5, 7)
+        law = ExactLaw(EmpiricalSpectrum(tuple(lams)), cfg)
+        law_perm = ExactLaw(EmpiricalSpectrum(tuple(perm)), cfg)
         for t in (0.01, 0.2):
-            assert pmin_density(t, EmpiricalSpectrum(tuple(lams)), cfg) == pmin_density(
-                t, EmpiricalSpectrum(tuple(perm)), cfg
-            )
+            assert law.density(t) == law_perm.density(t)
 
 
 class TestLargeP:
@@ -242,4 +231,4 @@ class TestLargeP:
         assert 0.0 < mid < 1.0
         grid = law.gap_grid(np.array([0.0, 0.005, 0.01, 0.05]))
         scalar = [law.gap(t) for t in [0.0, 0.005, 0.01, 0.05]]
-        assert np.allclose(grid, scalar, rtol=1e-10)
+        assert grid.tolist() == scalar

@@ -71,6 +71,7 @@ def test_exact_grid_elements_equal_one_point_calls(exact_case):
     gaps, pmins = law.gap_grid(ts), law.density_grid(ts)
     for k, t in enumerate(ts):
         assert gaps[k] == law.gap_grid(np.array([t]))[0]
+        assert gaps[k] == law.gap(float(t))
         assert pmins[k] == law.density(float(t))
         assert pmins[k] == law.density_detailed(float(t)).value
 

@@ -5,18 +5,17 @@ import pytest
 
 from wishartmin.linalg import (
     SignedLogMatrix,
-    gram,
     logdet_lu,
     smallest_singular_value,
     sqrt_det_antisymmetric,
 )
-from wishartmin.numerics import SLOG_ZERO, signedlog_to_float
+from wishartmin.numerics import SLOG_ZERO, signedlog_from_float, signedlog_to_float
 
 from oracles import cofactor_det, hermitian_smallest_eigenvalue, jacobi_smallest_eigenvalue, pfaffian_recursive
 
 
 def slog_matrix(a):
-    return SignedLogMatrix.from_floats(np.asarray(a, dtype=float))
+    return SignedLogMatrix([[signedlog_from_float(float(x)) for x in row] for row in a])
 
 
 class TestLogdetLu:
@@ -149,24 +148,3 @@ class TestSmallestSingularValue:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             smallest_singular_value(np.array([[1.0, math.nan]]))
-
-
-class TestGram:
-    def test_identity(self):
-        assert np.array_equal(gram(np.eye(2)), np.eye(2))
-
-    def test_row(self):
-        assert np.array_equal(gram(np.array([[1.0, 2.0]])), np.array([[5.0]]))
-
-    def test_complex_hermitian_residual_is_exactly_zero(self):
-        rng = np.random.default_rng(3)
-        w = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        a = gram(w)
-        assert np.max(np.abs(a - a.conj().T)) == 0.0
-
-    def test_diagonal_real_non_negative(self):
-        rng = np.random.default_rng(4)
-        w = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        d = np.diag(gram(w))
-        assert np.all(d.imag == 0.0)
-        assert np.all(d.real >= 0.0)

@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 
 from wishartmin.exactlaw import ExactLaw
-from wishartmin.microlaw import (
-    l_kernel,
-    make_micro_config,
-    micro_gap,
-    micro_pmin,
-    micro_rescale,
-    micro_unscale,
-)
-from wishartmin.numerics import adaptive_quadrature, bessel_i
+from wishartmin.microlaw import make_micro_config, micro_gap, micro_pmin, micro_rescale
+from wishartmin.numerics import bessel_i
 from wishartmin.spectra import EmpiricalSpectrum, eta_scale, make_config
+
+from oracles import adaptive_quadrature
 
 
 class TestMicroConfig:
@@ -31,31 +26,14 @@ class TestMicroConfig:
         with pytest.raises(ValueError):
             make_micro_config(2, -1)
 
-
-class TestLKernel:
-    def test_undifferentiated_center_entry(self):
-        m = make_micro_config(2, 1)  # kappa' = 2, dim 1
-        assert l_kernel(0, 1, 1, 4.0, m) == pytest.approx(bessel_i(0, 2.0), rel=1e-14)
-
-    def test_differentiated_entry_shifts_order(self):
-        m = make_micro_config(2, 1)
-        assert l_kernel(1, 1, 1, 4.0, m) == pytest.approx(bessel_i(1, 2.0), rel=1e-14)
-
-    def test_negative_order_folds(self):
-        # kappa' = 3, entry (2,2): order 3-4 = -1 -> I_1
-        m = make_micro_config(2, 2)
-        u = 2.7
-        want = math.sqrt(u / 4.0) * bessel_i(1, math.sqrt(u))
-        assert l_kernel(0, 2, 2, u, m) == pytest.approx(want, rel=1e-13)
-
-    def test_rejects_bad_domain(self):
-        m = make_micro_config(2, 2)
-        with pytest.raises(ValueError):
-            l_kernel(0, 1, 1, 0.0, m)
-        with pytest.raises(IndexError):
-            l_kernel(0, 3, 1, 1.0, m)
-        with pytest.raises(IndexError):
-            l_kernel(3, 1, 1, 1.0, m)
+    def test_bessel_order_limit(self):
+        # the density reads Bessel orders up to 2*gamma+1 (beta=1) or gamma (beta=2)
+        make_micro_config(1, 31)
+        make_micro_config(2, 64)
+        with pytest.raises(ValueError, match="Bessel order 65"):
+            make_micro_config(1, 32)
+        with pytest.raises(ValueError, match="Bessel order 65"):
+            make_micro_config(2, 65)
 
 
 class TestMicroGap:
@@ -73,6 +51,13 @@ class TestMicroGap:
     def test_rejects_non_positive_u(self):
         with pytest.raises(ValueError):
             micro_gap(0.0, make_micro_config(2, 1))
+
+    def test_series_overflow_raises(self):
+        with pytest.raises(ValueError, match="u = 1000000.0"):
+            micro_gap(1e6, make_micro_config(2, 2))
+
+    def test_far_right_tail_is_zero(self):
+        assert micro_gap(5000.0, make_micro_config(2, 2)) == 0.0
 
     @pytest.mark.parametrize(
         "beta,gamma",
@@ -137,13 +122,6 @@ class TestMicroRescale:
         spec = EmpiricalSpectrum((1.0,) * p)
         cfg = make_config(2, p, 202)
         assert micro_rescale([0.01], spec, cfg)[0] == pytest.approx(8.0, rel=1e-15)
-
-    def test_round_trip(self):
-        spec = EmpiricalSpectrum((0.6, 1.2, 6.7))
-        cfg = make_config(2, 3, 5)
-        ts = np.array([1e-4, 0.02, 0.7])
-        back = micro_unscale(micro_rescale(ts, spec, cfg), spec, cfg)
-        assert np.allclose(back, ts, rtol=1e-15)
 
     def test_scale_matches_eta(self):
         spec = EmpiricalSpectrum((0.5, 2.0, 8.0))

@@ -8,7 +8,6 @@ from wishartmin.sampler import (
     RngStream,
     batch_csv_text,
     batch_metadata,
-    gaussian_pair,
     sample_batch,
     sample_wishart,
     spectrum_hash,
@@ -23,13 +22,14 @@ from oracles import gamma2_tail, normal_cdf
 
 class TestRngStream:
     def test_gaussian_pair_reproducible(self):
-        a = gaussian_pair(RngStream(42, 0))
-        b = gaussian_pair(RngStream(42, 0))
-        assert a == b
+        a = RngStream(42, 0).gaussians(2)
+        b = RngStream(42, 0).gaussians(2)
+        assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        assert gaussian_pair(RngStream(42, 0)) != gaussian_pair(RngStream(42, 1))
-        assert gaussian_pair(RngStream(42, 0)) != gaussian_pair(RngStream(43, 0))
+        pair = RngStream(42, 0).gaussians(2)
+        assert not np.array_equal(pair, RngStream(42, 1).gaussians(2))
+        assert not np.array_equal(pair, RngStream(43, 0).gaussians(2))
 
     def test_moments(self):
         z = RngStream(7, 0).gaussians(1_000_000)
@@ -38,15 +38,15 @@ class TestRngStream:
 
     def test_ks_against_normal(self):
         z = np.sort(RngStream(11, 3).gaussians(100_000))
-        report = ks_statistic(z, lambda xs: np.array([normal_cdf(x) for x in xs]))
+        report = ks_statistic(z, np.array([normal_cdf(x) for x in z]))
         assert report.statistic < 1.63 / math.sqrt(100_000)
         assert report.passed
 
     def test_pair_consistent_with_batch(self):
         stream = RngStream(5, 9)
         z = stream.gaussians(6)
-        pair = gaussian_pair(RngStream(5, 9))
-        assert pair == (z[0], z[1])
+        pair = RngStream(5, 9).gaussians(2)
+        assert pair.tolist() == z[:2].tolist()
 
 
 class TestSampleWishart:
@@ -125,7 +125,7 @@ class TestSampleBatch:
         spec = EmpiricalSpectrum((1.0,))
         cfg = make_config(2, 1, 2)
         batch = sample_batch(spec, cfg, 50_000, seed=12)
-        report = ks_statistic(batch.values, lambda xs: 1.0 - np.vectorize(gamma2_tail)(xs))
+        report = ks_statistic(batch.values, 1.0 - np.vectorize(gamma2_tail)(batch.values))
         assert report.passed, f"KS D = {report.statistic}"
 
     def test_scaling_equivariance_exact_for_power_of_four(self):

@@ -5,73 +5,78 @@ import pytest
 
 from wishartmin.sampler import sample_batch
 from wishartmin.spectra import EmpiricalSpectrum, make_config
-from wishartmin.stats import build_histogram, derivative_check, ks_statistic
+from wishartmin.stats import build_histogram, ks_statistic
 
-from oracles import gamma2_density, gamma2_tail
+from oracles import derivative_check, gamma2_density, gamma2_tail
 
 
 class TestKsStatistic:
     def test_single_sample_against_uniform(self):
-        report = ks_statistic([0.5], lambda x: min(max(float(x), 0.0), 1.0))
+        report = ks_statistic([0.5], [0.5])
         assert report.statistic == pytest.approx(0.5, abs=1e-15)
 
     def test_exact_quantiles_give_half_over_n(self):
         n = 200
         samples = (np.arange(1, n + 1) - 0.5) / n  # uniform quantiles
-        report = ks_statistic(samples, lambda xs: np.clip(xs, 0.0, 1.0))
+        report = ks_statistic(samples, np.clip(samples, 0.0, 1.0))
         assert report.statistic == pytest.approx(0.5 / n, abs=1e-14)
 
     def test_own_cdf_passes(self):
         spec = EmpiricalSpectrum((1.0,))
         cfg = make_config(2, 1, 2)
         batch = sample_batch(spec, cfg, 20_000, seed=3)
-        report = ks_statistic(batch.values, lambda xs: 1.0 - np.vectorize(gamma2_tail)(xs))
+        report = ks_statistic(batch.values, 1.0 - np.vectorize(gamma2_tail)(batch.values))
         assert report.passed
 
     def test_thresholds(self):
-        r1 = ks_statistic([0.5], lambda x: 0.5, alpha=0.01)
+        r1 = ks_statistic([0.5], [0.5], alpha=0.01)
         assert r1.threshold == pytest.approx(1.63)
-        r5 = ks_statistic([0.5], lambda x: 0.5, alpha=0.05)
+        r5 = ks_statistic([0.5], [0.5], alpha=0.05)
         assert r5.threshold == pytest.approx(1.36)
         with pytest.raises(ValueError):
-            ks_statistic([0.5], lambda x: 0.5, alpha=0.02)
+            ks_statistic([0.5], [0.5], alpha=0.02)
 
     def test_threshold_override(self):
-        report = ks_statistic([0.5], lambda x: 0.5, threshold=0.6)
+        report = ks_statistic([0.5], [0.5], threshold=0.6)
         assert report.threshold == 0.6
         assert report.passed
 
     def test_pass_iff_below_threshold(self):
-        report = ks_statistic([0.5], lambda x: 0.5, threshold=0.4)
+        report = ks_statistic([0.5], [0.5], threshold=0.4)
         assert not report.passed
 
     def test_json_shape(self):
-        doc = ks_statistic([0.5], lambda x: 0.5, threshold=0.6).to_json()
+        doc = ks_statistic([0.5], [0.5], threshold=0.6).to_json()
         assert set(doc) == {"statistic", "n", "alpha", "threshold", "pass"}
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(0)
         xs = np.sort(rng.random(500))
-        cdf = lambda v: np.clip(v, 0.0, 1.0)  # noqa: E731
-        d0 = ks_statistic(xs, cdf).statistic
+        d0 = ks_statistic(xs, np.clip(xs, 0.0, 1.0)).statistic
         # affine map with exact binary scale: x -> 2x + 1
-        d1 = ks_statistic(2.0 * xs + 1.0, lambda v: np.clip((v - 1.0) / 2.0, 0, 1)).statistic
+        ys = 2.0 * xs + 1.0
+        d1 = ks_statistic(ys, np.clip((ys - 1.0) / 2.0, 0, 1)).statistic
         assert d1 == pytest.approx(d0, abs=1e-12)
         # cubic map on positives
-        d2 = ks_statistic(xs ** 3, lambda v: np.clip(np.cbrt(v), 0, 1)).statistic
+        zs = xs ** 3
+        d2 = ks_statistic(zs, np.clip(np.cbrt(zs), 0, 1)).statistic
         assert d2 == pytest.approx(d0, abs=1e-12)
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            ks_statistic([0.5, 0.2], lambda x: x)
+            ks_statistic([0.5, 0.2], [0.5, 0.2])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            ks_statistic([], lambda x: x)
+            ks_statistic([], [])
 
     def test_rejects_cdf_outside_unit_interval(self):
         with pytest.raises(ValueError):
-            ks_statistic([0.5], lambda x: 1.5)
+            ks_statistic([0.5], [1.5])
+
+    def test_rejects_cdf_shape_mismatch(self):
+        with pytest.raises(ValueError, match="one cdf value per sample"):
+            ks_statistic([0.2, 0.5], [0.2])
 
 
 class TestHistogram:
@@ -110,6 +115,8 @@ class TestHistogram:
 
 
 class TestDerivativeCheck:
+    """The central-difference instrument of tests/oracles.py (acceptance criterion 3)."""
+
     def test_known_derivative(self):
         grid = np.linspace(0.2, 3.0, 25)
         err = derivative_check(
