@@ -24,8 +24,8 @@ Coefficients are built in signed-log form.  One grid engine evaluates Q
 and Q' by Horner's rule with float mantissas and separate binary
 exponents, scales each row by its largest entry and hands the whole stack
 to one batched determinant and one batched solve; t = 0 reads the
-constant coefficients directly.  The scalar gap and density are 1-point
-calls into that engine.
+constant coefficients directly.  The scalar gap and density, and the
+value of a single KernelPolynomial, are 1-point calls into that engine.
 """
 
 from __future__ import annotations
@@ -38,14 +38,11 @@ import numpy as np
 from .linalg import ZERO_EXP, jacobi_gap_density
 from .linalg import logdet_lu, sqrt_det_antisymmetric  # noqa: F401  wrapped by bench/tracer.py
 from .numerics import (
-    SLOG_ZERO,
     SignedLog,
     factorial_signedlog,
-    signedlog_add,
     signedlog_from_float,
     signedlog_inv,
     signedlog_mul,
-    signedlog_pow_int,
 )
 from .spectra import (
     EmpiricalSpectrum,
@@ -82,23 +79,11 @@ class KernelPolynomial:
         return not self.coeffs
 
     def evaluate(self, t: float) -> SignedLog:
-        """Horner evaluation in signed-log arithmetic; t must be >= 0.
-
-        The laws evaluate their kernels on the grid engine; this scalar
-        evaluator stays because bench/tracer.py wraps it by name.
-        """
-        if not self.coeffs:
-            return SLOG_ZERO
-        tail = self.degree - (len(self.coeffs) - 1)
-        if t == 0.0:
-            return self.coeffs[-1] if tail == 0 else SLOG_ZERO
-        slog_t = signedlog_from_float(t)
-        acc = self.coeffs[0]
-        for c in self.coeffs[1:]:
-            acc = signedlog_add(signedlog_mul(acc, slog_t), c)
-        if tail:
-            acc = signedlog_mul(acc, signedlog_pow_int(slog_t, tail))
-        return acc
+        """Value at t >= 0: a 1-point run of the grid engine's Horner."""
+        mant, expo = _pack([self], self.degree)
+        am, ae = _horner(mant[:1], expo[:1], np.array([float(t)]))
+        m = float(am[0, 0])
+        return SignedLog(int(np.sign(m)), abs(m), int(ae[0, 0]))
 
 
 def q_prefactor(i: int, j: int, config: EnsembleConfig) -> int:
@@ -238,24 +223,34 @@ class ExactLaw:
 def _grid_coefficients(q_table, p: int):
     """Coefficient mantissas and exponents of the nonzero entries of Q and Q'.
 
-    Column c of the returned (2 * entries, p + 1) arrays multiplies t^(p-c).
-    The first ``entries`` rows are the entries of Q in row-major order, the
-    rest their term-wise t-derivatives in the same order; zero coefficients
-    carry exponent ZERO_EXP.
+    The entries are taken in row-major order and packed by ``_pack``.
     """
     index = [(poly.i - 1, poly.j - 1) for row in q_table for poly in row if not poly.is_zero]
-    mant = np.zeros((2 * len(index), p + 1))
-    expo = np.full((2 * len(index), p + 1), ZERO_EXP, dtype=np.int32)
-    for e, (i, j) in enumerate(index):
-        for k, c in enumerate(q_table[i][j].coeffs):
-            mant[e, k] = c.sign * c.mantissa
-            expo[e, k] = c.exp2
-            if k < p:  # (p-k) c_k t^(p-k-1)
-                mant[len(index) + e, k + 1] = c.sign * c.mantissa * (p - k)
-                expo[len(index) + e, k + 1] = c.exp2
+    mant, expo = _pack([q_table[i][j] for i, j in index], p)
     rows = np.array([i for i, _ in index], dtype=int)
     cols = np.array([j for _, j in index], dtype=int)
     return (rows, cols), mant, expo
+
+
+def _pack(polys, p: int):
+    """Coefficient mantissas and exponents of ``polys`` and of their t-derivatives.
+
+    Column c of the returned (2 * len(polys), p + 1) arrays multiplies
+    t^(p-c).  The first len(polys) rows are the polynomials, the rest their
+    term-wise t-derivatives in the same order; zero coefficients carry
+    exponent ZERO_EXP.
+    """
+    n = len(polys)
+    mant = np.zeros((2 * n, p + 1))
+    expo = np.full((2 * n, p + 1), ZERO_EXP, dtype=np.int32)
+    for e, poly in enumerate(polys):
+        for k, c in enumerate(poly.coeffs):
+            mant[e, k] = c.sign * c.mantissa
+            expo[e, k] = c.exp2
+            if k < p:  # (p-k) c_k t^(p-k-1)
+                mant[n + e, k + 1] = c.sign * c.mantissa * (p - k)
+                expo[n + e, k + 1] = c.exp2
+    return mant, expo
 
 
 def _horner(cm, ce, ts):

@@ -4,9 +4,9 @@ Kernel matrices are tiny (dimension 2*gamma/beta, rarely above ~30) but their
 entries span enormous ranges.  Both laws hand this module a whole grid of
 kernels as float mantissas with separate binary exponents; each row is
 scaled by its largest exponent and the stack goes through one batched
-LAPACK determinant and one batched solve.  A signed-log LU determinant,
-with the pivot row rescaled to unit log-magnitude before each elimination
-step, remains as a scalar reference that no law calls.  Data matrices W
+LAPACK determinant and one batched solve.  The determinant of a single
+SignedLogMatrix is the same row-scaled determinant of a 1-matrix stack,
+after an integer shift of each column.  Data matrices W
 are ordinary numpy arrays; their smallest singular value comes from the
 bidiagonalization + implicit-shift QR driver, which avoids squaring the
 condition number that eigensolving W W^dag would cost.
@@ -19,16 +19,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .numerics import (
-    SLOG_ONE,
-    SLOG_ZERO,
-    SignedLog,
-    signedlog_add,
-    signedlog_inv,
-    signedlog_mul,
-    signedlog_neg,
-    signedlog_sqrt,
-)
+from .numerics import SLOG_ONE, SLOG_ZERO, SignedLog, signedlog_sqrt
 
 __all__ = [
     "SignedLogMatrix",
@@ -72,50 +63,24 @@ class SignedLogMatrix:
 
 
 def logdet_lu(m: SignedLogMatrix) -> SignedLog:
-    """Determinant of a SignedLogMatrix via LU with partial pivoting.
+    """Determinant of a SignedLogMatrix by the laws' row-scaled slogdet.
 
-    Pivoting selects the largest log-magnitude in the column; the pivot row
-    is rescaled to unit log-magnitude before elimination so the multipliers
-    stay small.  The empty matrix has determinant 1; exact singularity
-    returns the zero element.
+    Each column is first shifted by its largest binary exponent, an integer
+    shift added back afterwards, so a column far below the others does not
+    underflow when the rows are scaled.  The empty matrix has determinant
+    1; exact singularity returns the zero element.
     """
-    d = m.dim
-    if d == 0:
+    if m.dim == 0:
         return SLOG_ONE
-    a = [list(row) for row in m.rows]
-    det = SLOG_ONE
-    for col in range(d):
-        piv_row = col
-        piv_key = None
-        for r in range(col, d):
-            e = a[r][col]
-            if e.sign != 0:
-                key = (e.exp2, e.mantissa)
-                if piv_key is None or key > piv_key:
-                    piv_key = key
-                    piv_row = r
-        if piv_key is None:
-            return SLOG_ZERO
-        if piv_row != col:
-            a[col], a[piv_row] = a[piv_row], a[col]
-            det = signedlog_neg(det)
-        piv = a[col][col]
-        det = signedlog_mul(det, piv)
-        # rescale pivot row to a unit pivot before elimination
-        inv_piv = signedlog_inv(piv)
-        a[col][col] = SLOG_ONE
-        for j in range(col + 1, d):
-            a[col][j] = signedlog_mul(a[col][j], inv_piv)
-        for r in range(col + 1, d):
-            f = a[r][col]
-            if f.sign == 0:
-                continue
-            a[r][col] = SLOG_ZERO
-            for j in range(col + 1, d):
-                e = a[col][j]
-                if e.sign != 0:
-                    a[r][j] = signedlog_add(a[r][j], signedlog_mul(f, signedlog_neg(e)))
-    return det
+    mant = np.array([[e.sign * e.mantissa for e in row] for row in m.rows])
+    expo = np.array([[e.exp2 if e.sign else ZERO_EXP for e in row] for row in m.rows])
+    shift = expo.max(axis=0)
+    expo = np.where(mant != 0.0, expo - shift, ZERO_EXP)
+    sign, logabs, top, _ = _row_scaled_slogdet(mant[None], expo[None])
+    if sign[0] == 0:
+        return SLOG_ZERO
+    det = SignedLog.from_logmag(int(sign[0]), float(logabs[0]))
+    return SignedLog(det.sign, det.mantissa, det.exp2 + int(top.sum() + shift.sum()))
 
 
 def _row_scale_log(m: SignedLogMatrix) -> float:
@@ -171,6 +136,19 @@ def sqrt_det_antisymmetric(m: SignedLogMatrix) -> SignedLog:
     return signedlog_sqrt(det)
 
 
+def _row_scaled_slogdet(mant, expo):
+    """slogdet of the stack mant * 2**expo, shape (n, d, d), with each row scaled.
+
+    Every row is scaled by its largest exponent ``top`` first, so the
+    determinant is sign * exp(logabs) * 2**top.sum(axis=(1, 2)).  Returns
+    (sign, logabs, top, scaled stack).
+    """
+    top = expo.max(axis=2, keepdims=True)
+    scaled = np.ldexp(mant, expo - top)
+    sign, logabs = np.linalg.slogdet(scaled)
+    return sign, logabs, top, scaled
+
+
 def jacobi_gap_density(log_pref, rate, power, mant, expo, dmant=None, dexpo=None):
     """Gap exp(log_pref) * det(Q)^power and density -d(gap)/dt on a stack of kernels.
 
@@ -188,9 +166,7 @@ def jacobi_gap_density(log_pref, rate, power, mant, expo, dmant=None, dexpo=None
     density None when no derivative is given.  Every point is computed
     independently, so an element does not depend on the rest of the stack.
     """
-    top = expo.max(axis=2, keepdims=True)
-    scaled = np.ldexp(mant, expo - top)
-    sign, logabs = np.linalg.slogdet(scaled)
+    sign, logabs, top, scaled = _row_scaled_slogdet(mant, expo)
     ok = sign > 0
     log_det = logabs[ok] + _LN2 * top[ok, :, 0].sum(axis=1)
     gap = np.zeros(mant.shape[0])

@@ -20,21 +20,21 @@ kernel times 1/4 and Jacobi's formula gives the density
     pmin(u) = -d(gap)/du = gap(u) * (beta/8 - (beta/2) * tr(Q^-1 Q')).
 
 Both are evaluated on a whole u grid at once: one vectorized series for
-every order, one batched determinant and one batched solve.  Verified
+every order (numerics.bessel_series), one batched determinant and one
+batched solve.  Verified
 against central differences of gap(u), against the rescaled exact
 finite-p law and against a high-precision oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import ZERO_EXP, jacobi_gap_density
 from .linalg import logdet_lu, sqrt_det_antisymmetric  # noqa: F401  wrapped by bench/tracer.py
-from .numerics import BESSEL_MAX_ORDER
+from .numerics import BESSEL_MAX_ORDER, bessel_series
 from .numerics import bessel_i_signedlog  # noqa: F401  wrapped by bench/tracer.py
 from .spectra import EmpiricalSpectrum, EnsembleConfig, eta_scale
 
@@ -77,34 +77,6 @@ def make_micro_config(beta: int, gamma: int) -> MicroConfig:
     )
 
 
-def _bessel_series(q: np.ndarray, max_order: int) -> np.ndarray:
-    """F_m(q) = sum_k q^k / (k! (k+m)!) for m = 0..max_order, shape (len(q), max_order+1).
-
-    Terms are summed until each drops to 1e-17 of its running sum, below
-    half an ulp, so later terms could not change the sum and a point's value
-    does not depend on the other points of the grid.  A sum that overflows
-    (u above about 5e5) raises ValueError.
-    """
-    orders = np.arange(max_order + 1)
-    qq = q[:, None]
-    term = np.ones((q.size, max_order + 1))
-    total = term.copy()
-    k = 0
-    with np.errstate(over="ignore"):  # an overflow is reported below, naming u
-        while True:
-            k += 1
-            term *= qq / (k * (k + orders))
-            total += term
-            # <= also stops on an overflowed sum, where term and total are inf
-            if np.all(term <= 1e-17 * total):
-                break
-    # term by term F_0 is the largest sum, so it overflows first
-    finite = np.isfinite(total[:, 0])
-    if not finite.all():
-        raise ValueError(f"hard-edge series overflows at u = {float(4.0 * q[~finite][0])}")
-    return total / np.array([float(math.factorial(m)) for m in orders])
-
-
 def _order_table(q: np.ndarray, lo: int, hi: int):
     """F_nu(q) for nu = lo..hi as (mantissa, exponent) arrays of shape (len(q), hi-lo+1).
 
@@ -113,7 +85,7 @@ def _order_table(q: np.ndarray, lo: int, hi: int):
     """
     nus = np.arange(lo, hi + 1)
     m = np.abs(nus)
-    series = _bessel_series(q, int(m.max()))[:, m]
+    series = bessel_series(q, int(m.max()))[:, m]
     qm, qe = np.frexp(q)
     neg = nus < 0
     mant, expo = np.frexp(series * np.where(neg, qm[:, None] ** m, 1.0))

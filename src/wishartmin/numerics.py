@@ -1,10 +1,14 @@
-"""Overflow-safe scalar arithmetic and special functions.
+"""Overflow-safe scalar arithmetic and the Bessel-kernel series.
 
 Kernel determinants mix terms like t**(p-k), symmetric polynomials of the
 spectrum and inverse factorials, which together span hundreds of orders of
 magnitude.  The kernel coefficients are built here as sign/log-magnitude
 values; the grid engines then carry them as float mantissas with separate
 binary exponents, so no intermediate overflows or underflows.
+
+The vectorized series F_m(q) = sum_k q^k / (k! (k+m)!) of the hard-edge
+kernel lives here too; the scalar I_nu(x) = (x/2)**nu * F_nu(x*x/4) is a
+1-point call of it.
 
 A SignedLog value represents sign * exp(logmag).  Internally it carries a
 full double mantissa next to an unbounded binary exponent, so the relative
@@ -19,20 +23,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "SignedLog",
     "SLOG_ZERO",
     "SLOG_ONE",
     "signedlog_from_float",
     "signedlog_to_float",
-    "signedlog_add",
     "signedlog_mul",
-    "signedlog_neg",
     "signedlog_inv",
     "signedlog_sqrt",
-    "signedlog_pow_int",
-    "log_factorial",
     "factorial_signedlog",
+    "bessel_series",
     "bessel_i",
     "bessel_i_signedlog",
 ]
@@ -121,39 +124,11 @@ def signedlog_to_float(a: SignedLog) -> float:
     return a.sign * math.ldexp(a.mantissa, a.exp2)
 
 
-def signedlog_add(a: SignedLog, b: SignedLog) -> SignedLog:
-    """Sign-aware addition anchored at the larger magnitude.
-
-    Adding exact negatives yields the zero element; cancellation is a valid
-    result, not an error.
-    """
-    if a.sign == 0:
-        return b
-    if b.sign == 0:
-        return a
-    if (a.exp2, a.mantissa) >= (b.exp2, b.mantissa):
-        big, small = a, b
-    else:
-        big, small = b, a
-    shift = small.exp2 - big.exp2
-    if shift < -1075:
-        return big
-    total = big.sign * big.mantissa + small.sign * math.ldexp(small.mantissa, shift)
-    if total == 0.0:
-        return SLOG_ZERO
-    m, e = math.frexp(abs(total))
-    return SignedLog(1 if total > 0 else -1, m, e + big.exp2)
-
-
 def signedlog_mul(a: SignedLog, b: SignedLog) -> SignedLog:
     if a.sign == 0 or b.sign == 0:
         return SLOG_ZERO
     m, e = math.frexp(a.mantissa * b.mantissa)
     return SignedLog(a.sign * b.sign, m, e + a.exp2 + b.exp2)
-
-
-def signedlog_neg(a: SignedLog) -> SignedLog:
-    return SignedLog(-a.sign, a.mantissa, a.exp2) if a.sign != 0 else SLOG_ZERO
 
 
 def signedlog_inv(a: SignedLog) -> SignedLog:
@@ -177,38 +152,7 @@ def signedlog_sqrt(a: SignedLog) -> SignedLog:
     return SignedLog(1, r, re + e // 2)
 
 
-def signedlog_pow_int(a: SignedLog, n: int) -> SignedLog:
-    """Integer power by repeated squaring (exponent-safe at any size)."""
-    if n == 0:
-        return SLOG_ONE
-    if a.sign == 0:
-        if n < 0:
-            raise ZeroDivisionError("zero to a negative power")
-        return SLOG_ZERO
-    if n < 0:
-        return signedlog_pow_int(signedlog_inv(a), -n)
-    acc = SLOG_ONE
-    base = a
-    while n:
-        if n & 1:
-            acc = signedlog_mul(acc, base)
-        base = signedlog_mul(base, base)
-        n >>= 1
-    return acc
-
-
-_LOG_FACT = [0.0]  # ln(m!) for m = 0, 1, ...; grown on demand
 _FACT_SLOG = [SLOG_ONE]  # m! as SignedLog, exact integer conversions
-
-
-def log_factorial(m: int) -> float:
-    """ln(m!) from a cumulative table of ln k (no asymptotic expansion)."""
-    if m < 0:
-        raise ValueError(f"factorial argument must be non-negative, got {m}")
-    while len(_LOG_FACT) <= m:
-        k = len(_LOG_FACT)
-        _LOG_FACT.append(_LOG_FACT[-1] + math.log(k))
-    return _LOG_FACT[m]
 
 
 def factorial_signedlog(m: int) -> SignedLog:
@@ -221,36 +165,56 @@ def factorial_signedlog(m: int) -> SignedLog:
     return _FACT_SLOG[m]
 
 
-def bessel_i_signedlog(nu: int, x: float) -> SignedLog:
-    """I_nu(x) as a SignedLog, for integer order with I_{-m} = I_m.
+def bessel_series(q: np.ndarray, max_order: int) -> np.ndarray:
+    """F_m(q) = sum_k q^k / (k! (k+m)!) for m = 0..max_order, shape (len(q), max_order+1).
 
-    Power series sum_k (x/2)**(2k+nu) / (k! (k+nu)!), summed until a term
-    drops below 1e-17 of the running partial sum.  The leading factor
-    (x/2)**nu / nu! is carried in scaled form, so tiny arguments at high
-    order neither underflow nor lose relative accuracy.
+    Terms are summed until each drops to 1e-17 of its running sum, below
+    half an ulp, so later terms could not change the sum and a point's value
+    does not depend on the other points of the grid.  A sum that overflows
+    (q above about 1.3e5) raises ValueError naming the hard-edge variable
+    u = 4q.
+    """
+    orders = np.arange(max_order + 1)
+    qq = q[:, None]
+    term = np.ones((q.size, max_order + 1))
+    total = term.copy()
+    k = 0
+    with np.errstate(over="ignore"):  # an overflow is reported below, naming u
+        while True:
+            k += 1
+            term *= qq / (k * (k + orders))
+            total += term
+            # <= also stops on an overflowed sum, where term and total are inf
+            if np.all(term <= 1e-17 * total):
+                break
+    # term by term F_0 is the largest sum, so it overflows first
+    finite = np.isfinite(total[:, 0])
+    if not finite.all():
+        raise ValueError(f"hard-edge series overflows at u = {float(4.0 * q[~finite][0])}")
+    return total / np.array([float(math.factorial(m)) for m in orders])
+
+
+def bessel_i_signedlog(nu: int, x: float) -> SignedLog:
+    """I_nu(x) = (x/2)**|nu| * F_|nu|(x*x/4) as a SignedLog, for integer order.
+
+    F comes from a 1-point bessel_series call.  The power (x/2)**|nu| keeps
+    the binary exponent of x/2 separate, so tiny arguments at high order
+    neither underflow nor lose relative accuracy.  Arguments whose series
+    overflows (x above about 713) raise ValueError.
     """
     nu = abs(int(nu))
     if nu > BESSEL_MAX_ORDER:
         raise ValueError(f"Bessel order {nu} exceeds supported maximum {BESSEL_MAX_ORDER}")
-    if x < 0:
-        raise ValueError(f"Bessel argument must be non-negative, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"Bessel argument must be non-negative and finite, got {x}")
     if x == 0.0:
         return SLOG_ONE if nu == 0 else SLOG_ZERO
-    q = 0.25 * x * x
-    term = 1.0
-    total = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * (k + nu))
-        total += term
-        if term < 1e-17 * total:
-            break
-    lead = signedlog_mul(
-        signedlog_pow_int(signedlog_from_float(0.5 * x), nu),
-        signedlog_inv(factorial_signedlog(nu)),
-    )
-    return signedlog_mul(lead, signedlog_from_float(total))
+    try:
+        series = bessel_series(np.array([0.25 * x * x]), nu)[0, nu]
+    except ValueError:
+        raise ValueError(f"the I_{nu} series overflows at x = {x}") from None
+    m, e = math.frexp(0.5 * x)
+    return SignedLog(1, m**nu * float(series), e * nu)
 
 
 def bessel_i(nu: int, x: float) -> float:

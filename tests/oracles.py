@@ -29,15 +29,6 @@ def decimal_inverse_sum(lams, prec=50):
     return sum(Decimal(1) / Decimal(repr(v)) for v in lams)
 
 
-def decimal_log_factorial(m, prec=50):
-    """ln(m!) as a high-precision cumulative sum of ln k."""
-    getcontext().prec = prec
-    total = Decimal(0)
-    for k in range(2, m + 1):
-        total += Decimal(k).ln()
-    return total
-
-
 def fraction_bessel_i(nu, x, terms=40):
     """I_nu(x) from the power series in exact rational arithmetic.
 

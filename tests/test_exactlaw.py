@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,11 @@ from oracles import adaptive_quadrature, gamma2_density, gamma2_tail
 BENCH10 = EmpiricalSpectrum(BENCH10_SPECTRUM)
 CFG_BENCH10 = make_config(1, 10, 13)
 LAW_BENCH10 = ExactLaw(BENCH10, CFG_BENCH10)
+
+
+def exact_value(slog):
+    """The exact rational value of a SignedLog."""
+    return slog.sign * Fraction(slog.mantissa) * Fraction(2) ** slog.exp2
 
 
 def random_valid_config(rng):
@@ -89,6 +95,28 @@ class TestKernelPolynomials:
                     a, b = vals[i][j], vals[j][i]
                     assert a.sign == -b.sign
                     assert a.mantissa == b.mantissa and a.exp2 == b.exp2
+
+    @pytest.mark.parametrize(
+        "spectrum, config",
+        [
+            (BENCH10, make_config(1, 10, 21)),
+            (EmpiricalSpectrum((1.0,) * 100 + (4.0,) * 100), make_config(2, 200, 202)),
+        ],
+        ids=["bench10-dim10", "two-point-p200"],
+    )
+    def test_evaluate_matches_exact_rationals(self, spectrum, config):
+        for row in build_q_polynomials(spectrum, config):
+            for poly in row:
+                for t in (0.0, 0.08, 1.3, 24.0):
+                    x = Fraction(t)
+                    want = sum(
+                        exact_value(c) * x ** (poly.degree - k) for k, c in enumerate(poly.coeffs)
+                    )
+                    got = exact_value(poly.evaluate(t))
+                    if want == 0:
+                        assert got == 0
+                    else:
+                        assert abs(got / want - 1) < 1e-13
 
     def test_spectrum_config_mismatch(self):
         with pytest.raises(ValueError):

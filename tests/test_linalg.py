@@ -50,6 +50,16 @@ class TestLogdetLu:
         assert det.sign == 1
         assert det.logmag == pytest.approx(2 * math.log(1e300), rel=1e-14)
 
+    def test_column_spread_beyond_float_range(self):
+        # scaling rows alone would flush the 1e-200 column to zero next to the 1e200 one
+        core = np.random.default_rng(8).uniform(-1.0, 1.0, size=(3, 3))
+        det = logdet_lu(slog_matrix(core * np.array([1e200, 1.0, 1e-200])))
+        want = cofactor_det(core)
+        assert det.sign == (1 if want > 0 else -1)
+        assert det.logmag == pytest.approx(
+            math.log(abs(want)) + math.log(1e200) + math.log(1e-200), abs=1e-11
+        )
+
     @pytest.mark.parametrize("d", [2, 4, 7, 10])
     def test_product_rule(self, d):
         rng = np.random.default_rng(d)

@@ -1,14 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from wishartmin.exactlaw import ExactLaw
 from wishartmin.microlaw import make_micro_config, micro_gap, micro_pmin, micro_rescale
-from wishartmin.numerics import bessel_i
 from wishartmin.spectra import EmpiricalSpectrum, eta_scale, make_config
 
-from oracles import adaptive_quadrature
+from oracles import adaptive_quadrature, fraction_bessel_i
 
 
 class TestMicroConfig:
@@ -45,7 +45,7 @@ class TestMicroGap:
     def test_beta2_gamma1_closed_form(self):
         m = make_micro_config(2, 1)
         for u in (0.2, 1.0, 9.0, 25.0):
-            want = math.exp(-u / 4.0) * bessel_i(0, math.sqrt(u))
+            want = math.exp(-u / 4.0) * float(fraction_bessel_i(0, Fraction(math.sqrt(u))))
             assert micro_gap(u, m) == pytest.approx(want, rel=1e-13)
 
     def test_rejects_non_positive_u(self):
