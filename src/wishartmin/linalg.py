@@ -7,9 +7,10 @@ scaled by its largest exponent and the stack goes through one batched
 LAPACK determinant and one batched solve.  The determinant of a single
 SignedLogMatrix is the same row-scaled determinant of a 1-matrix stack,
 after an integer shift of each column.  Data matrices W
-are ordinary numpy arrays; their smallest singular value comes from the
-bidiagonalization + implicit-shift QR driver, which avoids squaring the
-condition number that eigensolving W W^dag would cost.
+are ordinary numpy arrays, one at a time or stacked; their smallest
+singular values come from numpy's values-only SVD, which bidiagonalizes W
+itself and so avoids squaring the condition number that eigensolving
+W W^dag would cost.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .numerics import SLOG_ONE, SLOG_ZERO, SignedLog, signedlog_sqrt
 
@@ -181,19 +181,21 @@ def jacobi_gap_density(log_pref, rate, power, mant, expo, dmant=None, dexpo=None
     return gap, np.where(density > 0.0, density, 0.0)
 
 
-def smallest_singular_value(w) -> float:
+def smallest_singular_value(w):
     """Smallest singular value of a p x n (p <= n) real or complex matrix.
 
-    Computed by Golub-Kahan bidiagonalization followed by implicit-shift QR
-    on the bidiagonal (LAPACK's gesvd driver, values only).
+    A 2-d matrix gives a float; a (k, p, n) stack gives the k values as an
+    array.  Computed by numpy's values-only SVD (LAPACK gesdd: Householder
+    bidiagonalization, then the singular values of the bidiagonal), one
+    LAPACK call per matrix of the stack.
     """
     w = np.asarray(w)
-    if w.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    rows, cols = w.shape
+    if w.ndim not in (2, 3):
+        raise ValueError("expected a 2-d matrix or a 3-d stack of matrices")
+    rows, cols = w.shape[-2:]
     if rows > cols:
         raise ValueError(f"expected rows <= cols, got shape {w.shape}")
-    if not np.all(np.isfinite(w.view(np.float64) if np.iscomplexobj(w) else w)):
+    if not np.all(np.isfinite(w)):
         raise ValueError("matrix entries must be finite")
-    s = scipy.linalg.svd(w, compute_uv=False, lapack_driver="gesvd")
-    return float(s[-1])
+    s = np.linalg.svd(w, compute_uv=False)[..., -1]
+    return float(s) if w.ndim == 2 else s

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +271,29 @@ class TestVerify:
             doc = json.load(fh)
         assert doc["threshold"] == pytest.approx(1.36 / math.sqrt(2000))
         assert doc["pass"] == (doc["statistic"] < doc["threshold"])
+
+
+def test_sample_and_verify_do_not_import_scipy(small_file, tmp_path):
+    # scipy is only a test dependency; a lazy import would bring back its
+    # import time and memory in every CLI process
+    code = """
+import sys
+from wishartmin.cli import main
+ens = ["--beta", "1", "--p", "3", "--n", "6", "--spectrum", sys.argv[1], "--seed", "4"]
+assert main(["sample", *ens, "--count", "20", "--rotate", "--out", sys.argv[2] + "/s.csv"]) == 0
+assert main(["verify", "--mode", "exact", *ens, "--count", "200",
+             "--out", sys.argv[2] + "/v.json"]) == 0
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, small_file, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_flag_exits_2(small_file):

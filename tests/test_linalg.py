@@ -151,6 +151,19 @@ class TestSmallestSingularValue:
             smallest_singular_value(w), rel=1e-9
         )
 
+    def test_complex_transposed_view(self):
+        # a non-contiguous complex matrix is valid input
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
+        assert smallest_singular_value(w.T) == smallest_singular_value(w.T.copy())
+
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal((6, 4, 7)) + 1j * rng.standard_normal((6, 4, 7))
+        s = smallest_singular_value(w)
+        assert s.shape == (6,)
+        assert s.tolist() == [smallest_singular_value(m) for m in w]
+
     def test_rejects_tall_matrix(self):
         with pytest.raises(ValueError):
             smallest_singular_value(np.zeros((3, 2)))
@@ -158,3 +171,12 @@ class TestSmallestSingularValue:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             smallest_singular_value(np.array([[1.0, math.nan]]))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 2), (3,), (1, 1, 2, 3)])
+    def test_rejects_bad_stack_shape(self, shape):
+        with pytest.raises(ValueError):
+            smallest_singular_value(np.zeros(shape))
+
+    def test_rejects_non_finite_in_stack(self):
+        with pytest.raises(ValueError):
+            smallest_singular_value(np.array([[[1.0, 2.0]], [[1j * math.inf, 0.0]]]))

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from wishartmin import sampler
 from wishartmin.sampler import (
+    CHUNK_DRAWS,
     RngStream,
+    SampleBatch,
     batch_csv_text,
     batch_metadata,
     sample_batch,
@@ -110,15 +113,47 @@ class TestSampleBatch:
         b = sample_batch(spec, cfg, 500, seed=4)
         assert np.array_equal(a.values, b.values)
 
-    def test_streams_indexed_by_sample(self):
-        spec = EmpiricalSpectrum((0.8, 2.0, 5.0))
-        cfg = make_config(2, 3, 4)
-        batch = sample_batch(spec, cfg, 5, seed=21)
-        singles = sorted(
-            smallest_singular_value(sample_wishart(spec, cfg, RngStream(21, k))) ** 2
-            for k in range(5)
-        )
-        assert np.allclose(batch.values, singles, rtol=0, atol=0)
+    @pytest.mark.parametrize(
+        "beta, lams, n",
+        [(1, BENCH10_SPECTRUM, 13), (2, (0.8, 2.0, 5.0), 4)],
+        ids=["beta1-p10-n13", "beta2-p3-n4"],
+    )
+    def test_streams_indexed_by_sample(self, beta, lams, n):
+        spec = EmpiricalSpectrum(lams)
+        cfg = make_config(beta, len(lams), n)
+        count = 2 * (CHUNK_DRAWS // (beta * cfg.p * n)) + 7  # two chunks and a remainder
+        batch = sample_batch(spec, cfg, count, seed=21)
+        # squared as the batch squares: one correctly rounded multiply
+        singles = np.sort([
+            smallest_singular_value(sample_wishart(spec, cfg, RngStream(21, k)))
+            for k in range(count)
+        ]) ** 2
+        assert np.array_equal(batch.values, singles)
+
+    def test_chunked_draws_are_the_stream_gaussians(self, monkeypatch):
+        # with a unit spectrum at beta=1, each W is its stream's Gaussians
+        stacks = []
+
+        def record(w):
+            stacks.append(w.copy())
+            return smallest_singular_value(w)
+
+        monkeypatch.setattr(sampler, "smallest_singular_value", record)
+        cfg = make_config(1, 4, 9)
+        m = cfg.p * cfg.n
+        count = 2 * (CHUNK_DRAWS // m) + 5
+        sample_batch(EmpiricalSpectrum((1.0,) * cfg.p), cfg, count, seed=-3)
+        assert len(stacks) == 3
+        drawn = np.concatenate(stacks).reshape(count, m)
+        want = np.stack([RngStream(-3, k).gaussians(m) for k in range(count)])
+        assert np.array_equal(drawn, want)
+
+    def test_restart_matches_new_stream(self):
+        stream = RngStream(8, 0)
+        stream.gaussians(5)
+        for k in (3, 1, (1 << 64) + 2):
+            stream.restart(k)
+            assert stream.gaussians(7).tolist() == RngStream(8, k).gaussians(7).tolist()
 
     def test_gamma_2_1_distribution(self):
         # p=1, n=2, beta=2: lambda_min ~ Gamma(2, 1)
@@ -149,8 +184,10 @@ class TestSampleBatch:
         spec = EmpiricalSpectrum((0.5, 1.0, 4.0))
         for beta, n in ((1, 6), (2, 4)):
             cfg = make_config(beta, 3, n)
-            plain = sample_batch(spec, cfg, 100, seed=17)
-            rotated = sample_batch(spec, cfg, 100, seed=17, rotate=True)
+            # more samples than one chunk holds, with or without rotation draws
+            count = CHUNK_DRAWS // (beta * 3 * n) + 5
+            plain = sample_batch(spec, cfg, count, seed=17)
+            rotated = sample_batch(spec, cfg, count, seed=17, rotate=True)
             assert np.allclose(rotated.values, plain.values, rtol=1e-9)
 
     def test_values_positive_and_sorted(self):
@@ -163,6 +200,16 @@ class TestSampleBatch:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             sample_batch(EmpiricalSpectrum((1.0,)), make_config(2, 1, 2), 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "values, reason",
+        [([np.nan, 1.0], "finite"), ([1.0, np.inf], "finite"),
+         ([-1.0, 1.0], "non-negative"), ([2.0, 1.0], "sorted")],
+    )
+    def test_record_rejects_invalid_values(self, values, reason):
+        with pytest.raises(ValueError, match=reason):
+            SampleBatch(values=np.array(values), config=make_config(2, 1, 2),
+                        spectrum_hash="0", seed=0, count=2)
 
 
 class TestBatchExport:
