@@ -32,7 +32,7 @@ from .microlaw import (
 )
 from .sampler import batch_csv_text, batch_metadata, sample_batch
 from .spectra import load_spectrum, make_config
-from .stats import build_histogram, ks_statistic
+from .stats import KS_QUANTILES, build_histogram, ks_statistic
 
 __all__ = ["main", "build_parser"]
 
@@ -279,10 +279,9 @@ def cmd_verify(args, argv) -> int:
         doc["law_n"] = args.law_n
     if args.ks_threshold is not None:
         doc["threshold_note"] = (
-            f"alpha-based threshold "
-            f"{_alpha_threshold(args.alpha, batch.count)} overridden to "
-            f"{args.ks_threshold}: the reference law is a limiting law and "
-            f"carries finite-size bias at p={config.p}"
+            f"{_threshold_override(args.alpha, batch.count, args.ks_threshold)}: "
+            f"the reference law is a limiting law and carries finite-size bias "
+            f"at p={config.p}"
         )
     _write_atomic(args.out, json.dumps(doc, indent=2) + "\n")
     status = "pass" if report.passed else "FAIL"
@@ -293,11 +292,12 @@ def cmd_verify(args, argv) -> int:
     return 0 if report.passed else 1
 
 
-def _alpha_threshold(alpha: float, n: int) -> float:
-    from .stats import KS_QUANTILES
-
+def _threshold_override(alpha: float, n: int, threshold: float) -> str:
+    """What an explicit KS threshold replaced, for the report's note."""
     c = KS_QUANTILES.get(alpha)
-    return round(c / math.sqrt(n), 6) if c else float("nan")
+    if c is None:
+        return f"alpha={alpha} has no tabulated KS quantile; threshold set to {threshold}"
+    return f"alpha-based threshold {round(c / math.sqrt(n), 6)} overridden to {threshold}"
 
 
 _COMMANDS = {

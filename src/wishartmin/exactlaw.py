@@ -20,12 +20,13 @@ for beta=2.  By Jacobi's formula the density of the smallest eigenvalue is
 with r = tr(beta/(2*lam)) and Q' the term-wise t-derivative of the kernel:
 one small linear solve per point.
 
-Coefficients are built in signed-log form.  One grid engine evaluates Q
-and Q' by Horner's rule with float mantissas and separate binary
-exponents, scales each row by its largest entry and hands the whole stack
-to one batched determinant and one batched solve; t = 0 reads the
-constant coefficients directly.  The scalar gap and density, and the
-value of a single KernelPolynomial, are 1-point calls into that engine.
+The coefficients of Q and Q' are built once, in one array pass, as float
+mantissas with separate binary exponents (kernel_coefficients).  One grid
+engine evaluates them by Horner's rule in that form, scales each row by
+its largest entry and hands the whole stack to one batched determinant
+and one batched solve; t = 0 reads the constant coefficients directly.
+The scalar gap and density, and the value of a single KernelPolynomial,
+are 1-point calls into that engine.
 """
 
 from __future__ import annotations
@@ -37,13 +38,7 @@ import numpy as np
 
 from .linalg import ZERO_EXP, jacobi_gap_density
 from .linalg import logdet_lu, sqrt_det_antisymmetric  # noqa: F401  wrapped by bench/tracer.py
-from .numerics import (
-    SignedLog,
-    factorial_signedlog,
-    signedlog_from_float,
-    signedlog_inv,
-    signedlog_mul,
-)
+from .numerics import SignedLog
 from .spectra import (
     EmpiricalSpectrum,
     EnsembleConfig,
@@ -54,79 +49,98 @@ from .spectra import (
 __all__ = [
     "KernelPolynomial",
     "DensityResult",
-    "q_prefactor",
-    "build_q_polynomials",
+    "kernel_coefficients",
     "ExactLaw",
 ]
 
 
+def kernel_coefficients(spectrum: EmpiricalSpectrum, config: EnsembleConfig):
+    """Coefficients of the nonzero kernel entries Q_ij and of their t-derivatives.
+
+    Returns ((rows, cols), mant, expo): the 0-based positions of the entries
+    with q_ij != 0 and a_ij >= 0 in row-major order, and (2 * entries, p + 1)
+    arrays of float mantissas and binary exponents.  Column c multiplies
+    t^(p-c); the first ``entries`` rows are Q, the rest Q'.  A coefficient
+    is frexp(q_ij e_k) times the mantissa inverse 1 / m_f of the float
+    factorial (a_ij - k)! = m_f 2^e_f, renormalized, with the exponents
+    summed.  Zero coefficients, past the cutoff k > a_ij or from an e_k
+    that underflowed, carry exponent ZERO_EXP.
+    """
+    if spectrum.p != config.p:
+        raise ValueError(f"spectrum has p={spectrum.p} but config expects p={config.p}")
+    p, dim = config.p, config.kernel_dim
+    i, j = np.ogrid[1:dim + 1, 1:dim + 1]
+    if config.beta == 1:
+        q = (j - i) * (-1) ** (i + j)
+    else:
+        q = np.broadcast_to((-1) ** (i + 1), (dim, dim))
+    a = p + 2 * (config.gamma + 1) // config.beta - i - j
+    rows, cols = np.nonzero((q != 0) & (a >= 0))
+    q, a = q[rows, cols, None], a[rows, cols, None]
+    k = np.arange(p + 1)
+    kept = k <= a
+    with np.errstate(over="ignore"):  # reported below
+        qe = q * np.array(elementary_symmetric(spectrum))
+    if not np.isfinite(qe[kept]).all():
+        raise OverflowError("kernel coefficients overflow double precision for this spectrum")
+    fact_mant, fact_exp = _factorials(int(a.max(initial=0)))
+    inv_mant, inv_exp = np.frexp(1.0 / fact_mant)
+    top = np.where(kept, a - k, 0)
+    qm, qx = np.frexp(qe)
+    cm, cx = np.frexp(qm * inv_mant[top])
+    cx = cx + qx + inv_exp[top] - fact_exp[top]
+    nonzero = kept & (qe != 0.0)  # e_k underflows for tiny spectra
+    cm = np.where(nonzero, cm, 0.0)
+    cx = np.where(nonzero, cx, ZERO_EXP).astype(np.int32)
+    entries = len(rows)
+    mant = np.zeros((2 * entries, p + 1))
+    expo = np.full((2 * entries, p + 1), ZERO_EXP, dtype=np.int32)
+    mant[:entries], expo[:entries] = cm, cx
+    mant[entries:, 1:] = cm[:, :-1] * (p - k[:-1])  # (p-k) c_k t^(p-k-1)
+    expo[entries:, 1:] = cx[:, :-1]
+    return (rows, cols), mant, expo
+
+
+def _factorials(top: int):
+    """m! for m = 0..top as float mantissa and exponent arrays.
+
+    An exact integer wider than 53 bits is first rounded half-up to 54 bits
+    and then to the double's 53.  The double rounding is deliberate: a
+    single rounding would move some coefficients, and with them some law
+    outputs, by an ulp.
+    """
+    mant = np.empty(top + 1)
+    expo = np.empty(top + 1, dtype=np.int64)
+    f = 1
+    for m in range(top + 1):
+        f *= max(m, 1)
+        shift = max(f.bit_length() - 54, 0)
+        head = (f + (1 << (shift - 1))) >> shift if shift else f
+        mant[m], e = math.frexp(float(head))
+        expo[m] = e + shift
+    return mant, expo
+
+
 @dataclass(frozen=True, slots=True)
 class KernelPolynomial:
-    """One kernel entry: sum_{k=0}^{K} coeffs[k] * t^(degree-k).
+    """One kernel entry Q_ij as a view of its row of ``kernel_coefficients``.
 
-    ``coeffs`` is empty for an identically zero entry (Heaviside cutoff or
-    q_ij = 0).  ``alpha`` is the factorial cutoff index of the entry.
+    ``i`` and ``j`` are the entry's 0-based position; ``mant``/``expo`` are
+    its coefficient mantissas and exponents, highest power t^p first.  The
+    law never builds one: the view exists so the traced benchmark can time
+    ``evaluate`` by name.
     """
 
     i: int
     j: int
-    alpha: int
-    degree: int
-    coeffs: tuple
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    mant: np.ndarray
+    expo: np.ndarray
 
     def evaluate(self, t: float) -> SignedLog:
         """Value at t >= 0: a 1-point run of the grid engine's Horner."""
-        mant, expo = _pack([self], self.degree)
-        am, ae = _horner(mant[:1], expo[:1], np.array([float(t)]))
+        am, ae = _horner(self.mant[None], self.expo[None], np.array([float(t)]))
         m = float(am[0, 0])
         return SignedLog(int(np.sign(m)), abs(m), int(ae[0, 0]))
-
-
-def q_prefactor(i: int, j: int, config: EnsembleConfig) -> int:
-    """Sign/weight factor of kernel entry (i, j), 1-based indices."""
-    dim = config.kernel_dim
-    if not (1 <= i <= dim and 1 <= j <= dim):
-        raise IndexError(f"kernel indices must lie in 1..{dim}, got ({i}, {j})")
-    if config.beta == 1:
-        return (j - i) * (-1) ** (i + j)
-    return (-1) ** (i + 1)
-
-
-def build_q_polynomials(spectrum: EmpiricalSpectrum, config: EnsembleConfig):
-    """Full kernel table of KernelPolynomial, indexed [i-1][j-1].
-
-    The Heaviside cutoff uses the convention theta(0) = 1: an entry with
-    a_ij = 0 keeps its single finite k = 0 term.
-    """
-    if spectrum.p != config.p:
-        raise ValueError(f"spectrum has p={spectrum.p} but config expects p={config.p}")
-    p = config.p
-    dim = config.kernel_dim
-    e = elementary_symmetric(spectrum)
-    kappa = 2 * (config.gamma + 1) // config.beta
-    table = []
-    for i in range(1, dim + 1):
-        row = []
-        for j in range(1, dim + 1):
-            q = q_prefactor(i, j, config)
-            alpha = p + kappa - i - j
-            if q == 0 or alpha < 0:
-                row.append(KernelPolynomial(i=i, j=j, alpha=alpha, degree=p, coeffs=()))
-                continue
-            coeffs = tuple(
-                signedlog_mul(
-                    signedlog_from_float(q * e[k]),
-                    signedlog_inv(factorial_signedlog(alpha - k)),
-                )
-                for k in range(min(p, alpha) + 1)
-            )
-            row.append(KernelPolynomial(i=i, j=j, alpha=alpha, degree=p, coeffs=coeffs))
-        table.append(tuple(row))
-    return tuple(table)
 
 
 # grid points evaluated together: bounds the (points x kernel entries) arrays
@@ -141,10 +155,10 @@ class DensityResult:
 
 
 class ExactLaw:
-    """Prebuilt kernel polynomials for one (spectrum, config) pair.
+    """Prebuilt kernel coefficients for one (spectrum, config) pair.
 
-    Building the tables is O(kernel_dim^2 * p); evaluations afterwards are
-    pure and safe to share across threads.
+    Building them is O(kernel_dim^2 * p); evaluations afterwards are pure
+    and safe to share across threads.
     """
 
     def __init__(self, spectrum: EmpiricalSpectrum, config: EnsembleConfig):
@@ -152,9 +166,8 @@ class ExactLaw:
         self.config = config
         self.trace_rate = inverse_trace_half_beta(spectrum, config)
         self.log_det_lambda = math.fsum(math.log(v) for v in spectrum.lambdas)
-        self.q_table = build_q_polynomials(spectrum, config)
-        self._entry_index, self._coeff_mant, self._coeff_exp = _grid_coefficients(
-            self.q_table, config.p
+        self._entry_index, self._coeff_mant, self._coeff_exp = kernel_coefficients(
+            spectrum, config
         )
 
     def gap(self, t: float) -> float:
@@ -218,39 +231,6 @@ class ExactLaw:
             e[:, rows, cols] = expo[:, start:start + entries]
             stacks += [m, e]
         return jacobi_gap_density(log_pref, self.trace_rate, 0.5 * self.config.beta, *stacks)
-
-
-def _grid_coefficients(q_table, p: int):
-    """Coefficient mantissas and exponents of the nonzero entries of Q and Q'.
-
-    The entries are taken in row-major order and packed by ``_pack``.
-    """
-    index = [(poly.i - 1, poly.j - 1) for row in q_table for poly in row if not poly.is_zero]
-    mant, expo = _pack([q_table[i][j] for i, j in index], p)
-    rows = np.array([i for i, _ in index], dtype=int)
-    cols = np.array([j for _, j in index], dtype=int)
-    return (rows, cols), mant, expo
-
-
-def _pack(polys, p: int):
-    """Coefficient mantissas and exponents of ``polys`` and of their t-derivatives.
-
-    Column c of the returned (2 * len(polys), p + 1) arrays multiplies
-    t^(p-c).  The first len(polys) rows are the polynomials, the rest their
-    term-wise t-derivatives in the same order; zero coefficients carry
-    exponent ZERO_EXP.
-    """
-    n = len(polys)
-    mant = np.zeros((2 * n, p + 1))
-    expo = np.full((2 * n, p + 1), ZERO_EXP, dtype=np.int32)
-    for e, poly in enumerate(polys):
-        for k, c in enumerate(poly.coeffs):
-            mant[e, k] = c.sign * c.mantissa
-            expo[e, k] = c.exp2
-            if k < p:  # (p-k) c_k t^(p-k-1)
-                mant[n + e, k + 1] = c.sign * c.mantissa * (p - k)
-                expo[n + e, k + 1] = c.exp2
-    return mant, expo
 
 
 def _horner(cm, ce, ts):

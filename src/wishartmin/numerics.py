@@ -1,21 +1,20 @@
-"""Overflow-safe scalar arithmetic and the Bessel-kernel series.
-
-Kernel determinants mix terms like t**(p-k), symmetric polynomials of the
-spectrum and inverse factorials, which together span hundreds of orders of
-magnitude.  The kernel coefficients are built here as sign/log-magnitude
-values; the grid engines then carry them as float mantissas with separate
-binary exponents, so no intermediate overflows or underflows.
+"""Signed-log scalars and the Bessel-kernel series.
 
 The vectorized series F_m(q) = sum_k q^k / (k! (k+m)!) of the hard-edge
-kernel lives here too; the scalar I_nu(x) = (x/2)**nu * F_nu(x*x/4) is a
+kernel lives here; the scalar I_nu(x) = (x/2)**nu * F_nu(x*x/4) is a
 1-point call of it.
 
-A SignedLog value represents sign * exp(logmag).  Internally it carries a
-full double mantissa next to an unbounded binary exponent, so the relative
-accuracy is that of ordinary floats at any magnitude; a representation that
-stored only the rounded log would lose ~|logmag| * eps of relative
-precision, which the ill-conditioned kernel determinants amplify well above
-the verification tolerances.
+Kernel entries mix terms like t**(p-k), symmetric polynomials of the
+spectrum and inverse factorials, which together span hundreds of orders
+of magnitude, so the laws' grid engines carry them as float mantissas with
+separate binary exponents.  A SignedLog value, sign * exp(logmag), is one
+scalar in that form, returned by the 1-point calls the traced benchmark
+wraps (``bessel_i_signedlog``, ``KernelPolynomial.evaluate`` and the
+determinants of ``linalg``).  It carries a full double mantissa next to an
+unbounded binary exponent, so the relative accuracy is that of ordinary
+floats at any magnitude; a representation that stored only the rounded log
+would lose ~|logmag| * eps of relative precision, which the ill-conditioned
+kernel determinants amplify well above the verification tolerances.
 """
 
 from __future__ import annotations
@@ -31,10 +30,7 @@ __all__ = [
     "SLOG_ONE",
     "signedlog_from_float",
     "signedlog_to_float",
-    "signedlog_mul",
-    "signedlog_inv",
     "signedlog_sqrt",
-    "factorial_signedlog",
     "bessel_series",
     "bessel_i",
     "bessel_i_signedlog",
@@ -99,20 +95,6 @@ def signedlog_from_float(x: float) -> SignedLog:
     return SignedLog(1 if x > 0 else -1, m, e)
 
 
-def signedlog_from_int(n: int) -> SignedLog:
-    """Conversion of an arbitrarily large integer (correctly rounded)."""
-    if n == 0:
-        return SLOG_ZERO
-    sign = 1 if n > 0 else -1
-    n = abs(n)
-    bits = n.bit_length()
-    if bits <= 53:
-        return SignedLog(sign, float(n), 0)
-    shift = bits - 54
-    top = (n + (1 << (shift - 1)) if shift > 0 else n) >> shift
-    return SignedLog(sign, float(top), shift)
-
-
 def signedlog_to_float(a: SignedLog) -> float:
     """Back to a plain float; overflow maps to +-inf rather than raising."""
     if a.sign == 0:
@@ -122,20 +104,6 @@ def signedlog_to_float(a: SignedLog) -> float:
     if a.exp2 < -1120:
         return a.sign * 0.0
     return a.sign * math.ldexp(a.mantissa, a.exp2)
-
-
-def signedlog_mul(a: SignedLog, b: SignedLog) -> SignedLog:
-    if a.sign == 0 or b.sign == 0:
-        return SLOG_ZERO
-    m, e = math.frexp(a.mantissa * b.mantissa)
-    return SignedLog(a.sign * b.sign, m, e + a.exp2 + b.exp2)
-
-
-def signedlog_inv(a: SignedLog) -> SignedLog:
-    if a.sign == 0:
-        raise ZeroDivisionError("signed-log division by zero")
-    m, e = math.frexp(1.0 / a.mantissa)
-    return SignedLog(a.sign, m, e - a.exp2)
 
 
 def signedlog_sqrt(a: SignedLog) -> SignedLog:
@@ -150,19 +118,6 @@ def signedlog_sqrt(a: SignedLog) -> SignedLog:
         e -= 1
     r, re = math.frexp(math.sqrt(m))
     return SignedLog(1, r, re + e // 2)
-
-
-_FACT_SLOG = [SLOG_ONE]  # m! as SignedLog, exact integer conversions
-
-
-def factorial_signedlog(m: int) -> SignedLog:
-    """m! as a SignedLog, converted from the exact integer."""
-    if m < 0:
-        raise ValueError(f"factorial argument must be non-negative, got {m}")
-    while len(_FACT_SLOG) <= m:
-        k = len(_FACT_SLOG)
-        _FACT_SLOG.append(signedlog_from_int(math.factorial(k)))
-    return _FACT_SLOG[m]
 
 
 def bessel_series(q: np.ndarray, max_order: int) -> np.ndarray:

@@ -65,6 +65,9 @@ def make_config(beta: int, p: int, n: int) -> EnsembleConfig:
     """
     if beta not in (1, 2):
         raise ValueError(f"beta must be 1 or 2, got {beta}")
+    if not (float(p).is_integer() and float(n).is_integer()):
+        raise ValueError(f"p and n must be integers, got p={p}, n={n}")
+    p, n = int(p), int(n)
     if p < 1:
         raise ValueError(f"p must be at least 1, got {p}")
     if n < p:
@@ -106,14 +109,22 @@ def elementary_symmetric(spectrum: EmpiricalSpectrum) -> list:
     return e
 
 
+def _inverse_sum(spectrum: EmpiricalSpectrum) -> float:
+    """sum(1/lam); a subnormal eigenvalue overflows it, which raises OverflowError."""
+    total = math.fsum(1.0 / v for v in spectrum.lambdas)
+    if not math.isfinite(total):
+        raise OverflowError("the sum of inverse eigenvalues overflows double precision")
+    return total
+
+
 def eta_scale(spectrum: EmpiricalSpectrum) -> float:
     """Mean inverse eigenvalue (1/p) * sum(1/lam); sets the hard-edge scale."""
-    return math.fsum(1.0 / v for v in spectrum.lambdas) / spectrum.p
+    return _inverse_sum(spectrum) / spectrum.p
 
 
 def inverse_trace_half_beta(spectrum: EmpiricalSpectrum, config: EnsembleConfig) -> float:
     """(beta/2) * sum(1/lam), the decay rate of the gap-probability prefactor."""
-    return 0.5 * config.beta * math.fsum(1.0 / v for v in spectrum.lambdas)
+    return 0.5 * config.beta * _inverse_sum(spectrum)
 
 
 def parse_spectrum(text: str) -> EmpiricalSpectrum:

@@ -57,8 +57,8 @@ def ks_statistic(sorted_samples, cdf_values, alpha: float = 0.01, threshold=None
     shape.  D is the sup distance between the empirical step function and
     F over the sample points.  The pass threshold is c(alpha)/sqrt(N) with the
     asymptotic quantiles c(0.01) = 1.63 and c(0.05) = 1.36; an explicit
-    ``threshold`` overrides it (used when comparing against a limiting law
-    that carries a known finite-size bias).
+    ``threshold``, positive and finite, overrides it (used when comparing
+    against a limiting law that carries a known finite-size bias).
     """
     xs = np.asarray(sorted_samples, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
@@ -69,6 +69,8 @@ def ks_statistic(sorted_samples, cdf_values, alpha: float = 0.01, threshold=None
         if alpha not in KS_QUANTILES:
             raise ValueError(f"alpha must be one of {sorted(KS_QUANTILES)}, got {alpha}")
         threshold = KS_QUANTILES[alpha] / math.sqrt(xs.size)
+    elif not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"the KS threshold must be positive and finite, got {threshold}")
     fs = np.asarray(cdf_values, dtype=float)
     if fs.shape != xs.shape:
         raise ValueError(f"need one cdf value per sample, got shape {fs.shape} for {xs.shape}")

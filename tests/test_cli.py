@@ -257,6 +257,19 @@ class TestVerify:
         assert doc["threshold"] == 0.08
         assert "threshold_note" in doc
 
+    def test_threshold_note_without_tabulated_alpha(self, small_file, tmp_path):
+        out = str(tmp_path / "a10.json")
+        rc = main([
+            "verify", "--mode", "exact", "--beta", "2", "--p", "3", "--n", "5",
+            "--spectrum", small_file, "--count", "200", "--seed", "2",
+            "--alpha", "0.1", "--ks-threshold", "0.5", "--out", out,
+        ])
+        assert rc == 0
+        with open(out) as fh:
+            note = json.load(fh)["threshold_note"]
+        assert note.startswith("alpha=0.1 has no tabulated KS quantile; threshold set to 0.5")
+        assert "nan" not in note
+
     def test_alpha_05_threshold(self, small_file, tmp_path):
         out = str(tmp_path / "a05.json")
         rc = main([
@@ -308,27 +321,47 @@ def test_subcommand_required():
     assert exc.value.code == 2
 
 
+TWO = "1.0\n2.0\n"
+SUBNORMAL = "1e-310\n2.0\n"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, spectrum_text",
     [
         # the hard-edge density needs Bessel order 81, above the supported 64
-        ["micro", "--beta", "1", "--gamma", "40"],
+        (["micro", "--beta", "1", "--gamma", "40"], TWO),
         # n=91 at p=2 gives gamma=44 and Bessel order 89
-        ["verify", "--mode", "micro", "--beta", "1", "--p", "2", "--n", "91",
-         "--spectrum", "{spectrum}", "--count", "50", "--seed", "1"],
-        ["micro", "--beta", "2", "--gamma", "2", "--u-max", "inf"],
-        ["exact", "--beta", "2", "--p", "2", "--n", "3", "--spectrum", "{spectrum}",
-         "--t-max", "inf"],
+        (["verify", "--mode", "micro", "--beta", "1", "--p", "2", "--n", "91",
+          "--spectrum", "{spectrum}", "--count", "50", "--seed", "1"], TWO),
+        (["micro", "--beta", "2", "--gamma", "2", "--u-max", "inf"], TWO),
+        (["exact", "--beta", "2", "--p", "2", "--n", "3", "--spectrum", "{spectrum}",
+          "--t-max", "inf"], TWO),
         # the Bessel series overflows at u = 1e6
-        ["micro", "--beta", "2", "--gamma", "2", "--u-min", "1", "--u-max", "1e6",
-         "--u-steps", "3"],
+        (["micro", "--beta", "2", "--gamma", "2", "--u-min", "1", "--u-max", "1e6",
+          "--u-steps", "3"], TWO),
+        # the kernel coefficient q_12 e_1 = -3e308 overflows
+        (["exact", "--beta", "1", "--p", "1", "--n", "6", "--spectrum", "{spectrum}",
+          "--t-max", "1", "--t-steps", "3"], "1e308\n"),
+        # 1/1e-310 overflows the sum of inverse eigenvalues
+        (["exact", "--beta", "2", "--p", "2", "--n", "3", "--spectrum", "{spectrum}",
+          "--t-max", "1", "--t-steps", "3"], SUBNORMAL),
+        (["verify", "--mode", "micro", "--beta", "2", "--p", "2", "--n", "3",
+          "--spectrum", "{spectrum}", "--count", "50", "--seed", "1"], SUBNORMAL),
+        (["verify", "--mode", "exact", "--beta", "2", "--p", "2", "--n", "3",
+          "--spectrum", "{spectrum}", "--count", "50", "--seed", "1",
+          "--ks-threshold", "nan"], TWO),
+        (["verify", "--mode", "exact", "--beta", "2", "--p", "2", "--n", "3",
+          "--spectrum", "{spectrum}", "--count", "50", "--seed", "1",
+          "--ks-threshold", "-1"], TWO),
     ],
     ids=["micro-gamma-40", "verify-micro-n-91", "micro-u-max-inf", "exact-t-max-inf",
-         "micro-u-1e6"],
+         "micro-u-1e6", "exact-coefficient-overflow", "exact-subnormal-eigenvalue",
+         "verify-micro-subnormal-eigenvalue", "verify-ks-threshold-nan",
+         "verify-ks-threshold-negative"],
 )
-def test_rejected_input_exits_2(argv, tmp_path, capsys):
-    spectrum = tmp_path / "two.txt"
-    spectrum.write_text("1.0\n2.0\n")
+def test_rejected_input_exits_2(argv, spectrum_text, tmp_path, capsys):
+    spectrum = tmp_path / "spectrum.txt"
+    spectrum.write_text(spectrum_text)
     out = tmp_path / "out"
     argv = [a.format(spectrum=spectrum) for a in argv] + ["--out", str(out)]
     assert main(argv) == 2

@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wishartmin.exactlaw import ExactLaw, build_q_polynomials, q_prefactor
+from wishartmin.exactlaw import ExactLaw, KernelPolynomial, kernel_coefficients
+from wishartmin.linalg import ZERO_EXP
 from wishartmin.numerics import signedlog_to_float
-from wishartmin.spectra import EmpiricalSpectrum, make_config
+from wishartmin.spectra import EmpiricalSpectrum, elementary_symmetric, make_config
 
 from conftest import BENCH10_SPECTRUM
 from oracles import adaptive_quadrature, gamma2_density, gamma2_tail
@@ -16,11 +17,23 @@ from oracles import adaptive_quadrature, gamma2_density, gamma2_tail
 BENCH10 = EmpiricalSpectrum(BENCH10_SPECTRUM)
 CFG_BENCH10 = make_config(1, 10, 13)
 LAW_BENCH10 = ExactLaw(BENCH10, CFG_BENCH10)
+KERNEL_CASES = [
+    (BENCH10, make_config(1, 10, 21)),
+    (EmpiricalSpectrum((1.0,) * 100 + (4.0,) * 100), make_config(2, 200, 202)),
+]
+KERNEL_IDS = ["bench10-dim10", "two-point-p200"]
 
 
-def exact_value(slog):
-    """The exact rational value of a SignedLog."""
-    return slog.sign * Fraction(slog.mantissa) * Fraction(2) ** slog.exp2
+def exact_value(mant, expo):
+    """The exact rational value of a mantissa/exponent pair."""
+    return Fraction(mant) * Fraction(2) ** int(expo) if mant else Fraction(0)
+
+
+def kernel_views(spectrum, config):
+    """KernelPolynomial views of Q's nonzero entries, keyed by 0-based (i, j)."""
+    (rows, cols), mant, expo = kernel_coefficients(spectrum, config)
+    index = zip(rows.tolist(), cols.tolist())
+    return {(i, j): KernelPolynomial(i, j, mant[e], expo[e]) for e, (i, j) in enumerate(index)}
 
 
 def random_valid_config(rng):
@@ -32,95 +45,106 @@ def random_valid_config(rng):
 
 
 class TestQPrefactor:
-    def test_beta1_diagonal_vanishes(self):
-        assert q_prefactor(1, 1, CFG_BENCH10) == 0
-
     def test_beta1_off_diagonal(self):
-        assert q_prefactor(1, 2, CFG_BENCH10) == -1
+        # q_12 = (2-1) * (-1)^3 = -1: every coefficient of Q_12 is negative
+        poly = kernel_views(BENCH10, CFG_BENCH10)[0, 1]
+        assert np.all(poly.mant[poly.mant != 0] < 0)
 
     def test_beta2_row_sign(self):
+        # q_ij = (-1)^(i+1): row 1 of Q and Q' positive, row 2 negative
         cfg = make_config(2, 3, 5)  # kernel_dim 2
-        assert q_prefactor(2, 1, cfg) == -1
-        assert q_prefactor(2, 2, cfg) == -1
-        assert q_prefactor(1, 1, cfg) == 1
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            q_prefactor(0, 1, CFG_BENCH10)
-        with pytest.raises(IndexError):
-            q_prefactor(1, 3, CFG_BENCH10)
+        (rows, cols), mant, expo = kernel_coefficients(EmpiricalSpectrum((1.0, 2.0, 4.0)), cfg)
+        assert len(rows) == 4
+        for e, i in enumerate(np.concatenate([rows, rows])):
+            nonzero = mant[e][mant[e] != 0]
+            assert nonzero.size and np.all(np.sign(nonzero) == (-1) ** i)
 
 
 class TestKernelPolynomials:
     def test_simplest_complex_kernel_is_t_plus_one(self):
         # p=1, n=2, beta=2: alpha=1, e=(1,1), q=+1, so Q11(t) = t + 1
-        table = build_q_polynomials(EmpiricalSpectrum((1.0,)), make_config(2, 1, 2))
-        poly = table[0][0]
+        poly = kernel_views(EmpiricalSpectrum((1.0,)), make_config(2, 1, 2))[0, 0]
         assert signedlog_to_float(poly.evaluate(0.0)) == pytest.approx(1.0, rel=1e-14)
         assert signedlog_to_float(poly.evaluate(1.0)) == pytest.approx(2.0, rel=1e-14)
         assert signedlog_to_float(poly.evaluate(2.5)) == pytest.approx(3.5, rel=1e-14)
 
     def test_beta1_diagonal_polynomials_are_zero(self):
-        table = build_q_polynomials(BENCH10, CFG_BENCH10)
-        for k in range(CFG_BENCH10.kernel_dim):
-            assert table[k][k].is_zero
+        (rows, cols), _, _ = kernel_coefficients(BENCH10, CFG_BENCH10)
+        assert len(rows) and not np.any(rows == cols)
 
     def test_heaviside_cutoff(self):
         # p=1, n=5, beta=2: kernel_dim 4, alpha_(i,j) = 6 - i - j < 0 for i+j > 6
         cfg = make_config(2, 1, 5)
-        table = build_q_polynomials(EmpiricalSpectrum((2.0,)), cfg)
-        assert table[3][3].is_zero  # alpha = -2
-        assert not table[0][0].is_zero
+        views = kernel_views(EmpiricalSpectrum((2.0,)), cfg)
+        assert (3, 3) not in views  # alpha = -2
+        assert (0, 0) in views
+        # alpha = 0 keeps the single k = 0 term: Q_33 = q_33 t / 0!
+        poly = views[2, 2]
+        assert poly.mant[0] != 0
+        assert poly.mant[1] == 0 and poly.expo[1] == ZERO_EXP
 
     def test_beta1_exact_negation_across_transpose(self):
-        table = build_q_polynomials(BENCH10, CFG_BENCH10)
-        dim = CFG_BENCH10.kernel_dim
-        for i in range(dim):
-            for j in range(dim):
-                a, b = table[i][j], table[j][i]
-                assert len(a.coeffs) == len(b.coeffs)
-                for ca, cb in zip(a.coeffs, b.coeffs):
-                    assert ca.sign == -cb.sign
-                    assert ca.mantissa == cb.mantissa
-                    assert ca.exp2 == cb.exp2
+        (rows, cols), mant, expo = kernel_coefficients(BENCH10, CFG_BENCH10)
+        entries = len(rows)
+        position = {(i, j): e for e, (i, j) in enumerate(zip(rows.tolist(), cols.tolist()))}
+        for (i, j), e in position.items():
+            t = position[j, i]
+            for shift in (0, entries):  # Q, then Q'
+                assert np.array_equal(mant[shift + e], -mant[shift + t])
+                assert np.array_equal(expo[shift + e], expo[shift + t])
 
     def test_beta1_assembled_matrix_antisymmetric_exactly(self):
         cfg = make_config(1, 10, 17)  # kernel_dim 6
-        table = build_q_polynomials(BENCH10, cfg)
+        views = kernel_views(BENCH10, cfg)
+        assert all(i != j for i, j in views)
         for t in (0.0, 0.08, 1.3):
-            vals = [[poly.evaluate(t) for poly in row] for row in table]
-            for i in range(cfg.kernel_dim):
-                assert vals[i][i].sign == 0
-                for j in range(cfg.kernel_dim):
-                    a, b = vals[i][j], vals[j][i]
-                    assert a.sign == -b.sign
-                    assert a.mantissa == b.mantissa and a.exp2 == b.exp2
+            for (i, j), poly in views.items():
+                a, b = poly.evaluate(t), views[j, i].evaluate(t)
+                assert a.sign == -b.sign
+                assert a.mantissa == b.mantissa and a.exp2 == b.exp2
 
-    @pytest.mark.parametrize(
-        "spectrum, config",
-        [
-            (BENCH10, make_config(1, 10, 21)),
-            (EmpiricalSpectrum((1.0,) * 100 + (4.0,) * 100), make_config(2, 200, 202)),
-        ],
-        ids=["bench10-dim10", "two-point-p200"],
-    )
+    @pytest.mark.parametrize("spectrum, config", KERNEL_CASES, ids=KERNEL_IDS)
     def test_evaluate_matches_exact_rationals(self, spectrum, config):
-        for row in build_q_polynomials(spectrum, config):
-            for poly in row:
-                for t in (0.0, 0.08, 1.3, 24.0):
-                    x = Fraction(t)
-                    want = sum(
-                        exact_value(c) * x ** (poly.degree - k) for k, c in enumerate(poly.coeffs)
-                    )
-                    got = exact_value(poly.evaluate(t))
-                    if want == 0:
-                        assert got == 0
-                    else:
-                        assert abs(got / want - 1) < 1e-13
+        for poly in kernel_views(spectrum, config).values():
+            coeffs = [exact_value(m, e) for m, e in zip(poly.mant, poly.expo)]
+            for t in (0.0, 0.08, 1.3, 24.0):
+                x = Fraction(t)
+                want = sum(c * x ** (config.p - k) for k, c in enumerate(coeffs))
+                value = poly.evaluate(t)
+                got = value.sign * exact_value(value.mantissa, value.exp2)
+                if want == 0:
+                    assert got == 0
+                else:
+                    assert abs(got / want - 1) < 1e-13
+
+    @pytest.mark.parametrize("spectrum, config", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_coefficients_match_exact_arithmetic(self, spectrum, config):
+        # c_k = q_ij e_k / (a_ij - k)! from exact rationals, and (p-k) c_k in Q'
+        p, beta = config.p, config.beta
+        e_k = [Fraction(v) for v in elementary_symmetric(spectrum)]
+        (rows, cols), mant, expo = kernel_coefficients(spectrum, config)
+        entries = len(rows)
+        for e, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+            q = (j - i) * (-1) ** (i + j) if beta == 1 else (-1) ** i  # 0-based i, j
+            a = p + 2 * (config.gamma + 1) // beta - (i + 1) - (j + 1)
+            for k in range(p + 1):
+                if k > a:
+                    assert mant[e, k] == 0 and expo[e, k] == ZERO_EXP
+                    continue
+                want = q * e_k[k] / math.factorial(a - k)
+                assert abs(exact_value(mant[e, k], expo[e, k]) / want - 1) < 1e-15
+                if k < p:
+                    got = exact_value(mant[entries + e, k + 1], expo[entries + e, k + 1])
+                    assert abs(got / ((p - k) * want) - 1) < 1e-15
 
     def test_spectrum_config_mismatch(self):
         with pytest.raises(ValueError):
-            build_q_polynomials(EmpiricalSpectrum((1.0, 2.0)), make_config(2, 3, 4))
+            kernel_coefficients(EmpiricalSpectrum((1.0, 2.0)), make_config(2, 3, 4))
+
+    def test_overflowing_coefficient_raises(self):
+        # q_12 e_1 = -3e308 for beta=1, p=1, n=6 (kernel_dim 4)
+        with pytest.raises(OverflowError):
+            kernel_coefficients(EmpiricalSpectrum((1e308,)), make_config(1, 1, 6))
 
 
 class TestGapProbability:

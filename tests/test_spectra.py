@@ -58,6 +58,12 @@ class TestMakeConfig:
         with pytest.raises(ValueError, match="even"):
             make_config(1, 10, 14)
 
+    def test_rejects_non_integer_p_and_n(self):
+        with pytest.raises(ValueError, match="integers"):
+            make_config(2, 3, 4.5)
+        with pytest.raises(ValueError, match="integers"):
+            make_config(1, 2.5, 6)
+
     def test_rejects_beta1_square(self):
         # n = p gives n - p - 1 = -1
         with pytest.raises(ValueError):

@@ -41,6 +41,11 @@ class TestKsStatistic:
         assert report.threshold == 0.6
         assert report.passed
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0, 0.0])
+    def test_rejects_threshold_not_positive_finite(self, threshold):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ks_statistic([0.5], [0.5], threshold=threshold)
+
     def test_pass_iff_below_threshold(self):
         report = ks_statistic([0.5], [0.5], threshold=0.4)
         assert not report.passed
