@@ -6,11 +6,17 @@ kernels as float mantissas with separate binary exponents; each row is
 scaled by its largest exponent and the stack goes through one batched
 LAPACK determinant and one batched solve.  The determinant of a single
 SignedLogMatrix is the same row-scaled determinant of a 1-matrix stack,
-after an integer shift of each column.  Data matrices W
-are ordinary numpy arrays, one at a time or stacked; their smallest
-singular values come from numpy's values-only SVD, which bidiagonalizes W
-itself and so avoids squaring the condition number that eigensolving
-W W^dag would cost.
+after an integer shift of each column.
+
+The sampler hands over no data matrix W, only the p x p lower-triangular
+factor T = Lambda^(1/2) L of its LQ decomposition, which has the same
+singular values (Bartlett 1933; Edelman 1989).  sigma_min(T) is
+1 / sigma_max(T^-1): T is inverted blockwise after an exact power-of-two
+scaling, and sigma_max(T^-1)**2, the largest eigenvalue of T^-H T^-1, comes
+from a Lanczos iteration with full reorthogonalization that stops on the
+residual bound of its top Ritz pair.  That bound is met by step p at the
+latest, so there is no iteration cap, and the whole path stays clear of
+the squared condition number that eigensolving T T^dag would cost.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ ANTISYM_REL_TOL = 1e-12
 ZERO_EXP = -(1 << 29)
 
 _LN2 = math.log(2.0)
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class SignedLogMatrix:
@@ -181,21 +188,281 @@ def jacobi_gap_density(log_pref, rate, power, mant, expo, dmant=None, dexpo=None
     return gap, np.where(density > 0.0, density, 0.0)
 
 
-def smallest_singular_value(w):
-    """Smallest singular value of a p x n (p <= n) real or complex matrix.
+# the Lanczos iteration stops once the top Ritz pair's residual is below
+# RITZ_RTOL times its Ritz value; that Ritz value is then within the same
+# relative distance of an eigenvalue of A^H A, so sigma_min within half of it
+RITZ_RTOL = 2.0 ** -45
+# Newton on the Ritz value stops once its step is below this relative size;
+# one more step would move it by about the square of that
+_NEWTON_RTOL = 2.0 ** -30
+# diagonal blocks up to this size are inverted by one LAPACK call
+_INV_LEAF = 32
 
-    A 2-d matrix gives a float; a (k, p, n) stack gives the k values as an
-    array.  Computed by numpy's values-only SVD (LAPACK gesdd: Householder
-    bidiagonalization, then the singular values of the bidiagonal), one
-    LAPACK call per matrix of the stack.
+
+def smallest_singular_value(t):
+    """Smallest singular value of a lower-triangular p x p matrix.
+
+    A 2-d matrix gives a float; a (k, p, p) stack gives the k values as an
+    array, each independent of the rest of the stack.  A matrix with a zero
+    diagonal entry is singular and gives exactly 0.  Otherwise it is scaled
+    by the power of two that puts its smallest diagonal entry in [1, 2),
+    inverted blockwise (``_tril_inverse``), and sigma_min is
+    1 / sqrt(lambda_max(A^H A)) for that inverse A, from ``_top_eigenvalue``,
+    which scales A once more.  Neither scaling rounds, and together they
+    keep every intermediate inside double range unless A itself is not
+    representable, which raises OverflowError.
     """
-    w = np.asarray(w)
-    if w.ndim not in (2, 3):
-        raise ValueError("expected a 2-d matrix or a 3-d stack of matrices")
-    rows, cols = w.shape[-2:]
-    if rows > cols:
-        raise ValueError(f"expected rows <= cols, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
+    t = np.asarray(t)
+    if t.ndim not in (2, 3) or t.shape[-2] != t.shape[-1]:
+        raise ValueError(f"expected a square matrix or a 3-d stack of them, got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
         raise ValueError("matrix entries must be finite")
-    s = np.linalg.svd(w, compute_uv=False)[..., -1]
-    return float(s) if w.ndim == 2 else s
+    p = t.shape[-1]
+    if np.any(t[(..., *np.triu_indices(p, 1))]):
+        raise ValueError("expected lower-triangular matrices")
+    dtype = np.complex128 if np.iscomplexobj(t) else np.float64
+    stack = np.ascontiguousarray(t.reshape(-1, p, p), dtype=dtype)
+    diag = np.abs(np.diagonal(stack, axis1=1, axis2=2)).min(axis=1)
+    values = np.zeros(len(stack))
+    live = diag > 0.0
+    if np.any(live):
+        e = np.frexp(diag[live])[1] - 1
+        theta, f = _top_eigenvalue(_tril_inverse(_scaled(stack if np.all(live) else stack[live], -e)))
+        values[live] = np.ldexp(1.0 / np.sqrt(theta), e - f)
+    return float(values[0]) if t.ndim == 2 else values
+
+
+def _scaled(x, exp):
+    """x * 2**exp for each matrix of the stack x, by two power-of-two factors.
+
+    Each factor stays inside double range for any exponent that a finite
+    x and its scaled value can need, and multiplying by it is exact.
+    """
+    half = exp // 2
+    out = x * np.ldexp(1.0, half)[:, None, None]
+    out *= np.ldexp(1.0, exp - half)[:, None, None]
+    return out
+
+
+def _tril_inverse(s):
+    """Inverse of each lower-triangular matrix of the stack s.
+
+    For s = [[A, 0], [C, D]] the inverse is [[A^-1, 0], [-D^-1 C A^-1, D^-1]];
+    diagonal blocks of at most ``_INV_LEAF`` rows go to one batched LAPACK
+    inverse each, and everything above them is matrix products.
+    """
+    if s.shape[-1] <= _INV_LEAF:
+        return np.linalg.inv(s)
+    inv = np.zeros_like(s)
+    _fill_inverse(s, inv, 0, s.shape[-1])
+    return inv
+
+
+def _fill_inverse(s, inv, lo, hi):
+    """Write the inverse of the diagonal block s[:, lo:hi, lo:hi] into inv's."""
+    if hi - lo <= _INV_LEAF:
+        inv[:, lo:hi, lo:hi] = np.linalg.inv(s[:, lo:hi, lo:hi])
+        return
+    mid = (lo + hi) // 2
+    _fill_inverse(s, inv, lo, mid)
+    _fill_inverse(s, inv, mid, hi)
+    inv[:, mid:hi, lo:mid] = -(inv[:, mid:hi, mid:hi] @ (s[:, mid:hi, lo:mid] @ inv[:, lo:mid, lo:mid]))
+
+
+def _start_vector(p):
+    """Fixed unit start vector of the Lanczos iteration.
+
+    Entries 2*frac(i*phi) - 1 (phi the golden ratio) and a first entry of 1:
+    deterministic, with no sign or size pattern that a structured matrix
+    could be orthogonal to.
+    """
+    v = 2.0 * ((np.arange(p) * 0.6180339887498949) % 1.0) - 1.0
+    v[0] = 1.0
+    return v / math.sqrt(float(v @ v))
+
+
+def _top_eigenvalue(a):
+    """lambda_max(A^H A) for each matrix A of the stack a, by Lanczos.
+
+    Returns (theta, f): A is scaled in place by the power of two 2**-f that
+    puts its largest real or imaginary part in [1/2, 1), so that
+    lambda_max(A^H A) = theta * 4**f with theta between 1/4 and 2 p**2.
+
+    Each step applies A^H A to the newest Lanczos vector, orthogonalizes the
+    result against every earlier vector (classical Gram-Schmidt, twice) and
+    so extends the tridiagonal matrix T_m of the recurrence.  The largest
+    Ritz value theta of T_m and the last entry y_m of its unit eigenvector
+    give the Ritz pair's residual in the full space, beta_m * |y_m|.  A
+    matrix leaves the iteration once that residual is below ``RITZ_RTOL`` *
+    theta (``_ritz_step``), or at step p, where the Krylov space is the whole
+    space and beta_p is zero.  Only the matrices still iterating are carried
+    on, and every step is computed matrix by matrix, so each value is
+    independent of the stack around it.
+    """
+    top = np.maximum(a.view(np.float64).max(axis=(1, 2)), -a.view(np.float64).min(axis=(1, 2)))
+    if not np.all(np.isfinite(top)):
+        raise OverflowError("the inverse of the matrix leaves double precision")
+    f = np.frexp(top)[1]
+    a *= np.ldexp(1.0, -f)[:, None, None]
+    k, p, _ = a.shape
+    basis = np.empty_like(a)  # row j holds Lanczos vector j
+    v = np.broadcast_to(_start_vector(p).astype(a.dtype), (k, p))
+    alpha = np.empty((p, k))
+    beta2 = np.empty((p, k))  # beta2[j] = beta_j**2 couples rows j and j+1 of T
+    theta = np.empty(k)
+    ritz = last2 = bound = None
+    rows = np.arange(k)
+    for j in range(p):
+        basis[:, j] = v
+        # A^H (A v) as the conjugate of (A v)^H A
+        w = ((a @ v[..., None]).conj().swapaxes(1, 2) @ a)[:, 0].conj()
+        done = basis[:, : j + 1]
+        for sweep in range(2):
+            hc = done @ w.conj()[..., None]  # conjugated projections <v_i, w>
+            if sweep == 0:
+                alpha[j] = hc[:, j, 0].real
+            w -= (hc.conj().swapaxes(1, 2) @ done)[:, 0]
+        norm2 = (w.conj()[:, None, :] @ w[..., None])[:, 0, 0].real
+        if j == p - 1:
+            norm2[:] = 0.0
+        ritz, last2, bound, conv = _ritz_step(alpha[: j + 1], beta2[:j], norm2, ritz, last2, bound)
+        if np.any(conv):
+            theta[rows[conv]] = ritz[conv]
+            keep = ~conv
+            if not np.any(keep):
+                break
+            rows, a, basis, w = rows[keep], a[keep], basis[keep], w[keep]
+            alpha, beta2, norm2 = alpha[:, keep], beta2[:, keep], norm2[keep]
+            ritz, last2, bound = ritz[keep], last2[keep], bound[keep]
+        beta2[j] = norm2
+        v = w / np.sqrt(norm2)[:, None]
+    return theta, f
+
+
+def _ritz_step(alpha, beta2, norm2, prev, prev_last2, prev_bound):
+    """The top Ritz pair of each tridiagonal T_m and whether its residual is small.
+
+    ``alpha`` (m, k) holds the diagonals of T_m, ``beta2`` (m - 1, k) its
+    squared off-diagonals and ``norm2`` the squared beta_m of the next
+    Lanczos vector.  ``prev``, ``prev_last2`` and ``prev_bound`` are what the
+    previous step returned: the top Ritz value of T_{m-1} or an estimate of
+    it, y_{m-1}**2 or an estimate of it, and an upper bound on that Ritz
+    value.  Returns the same three for T_m and the mask of matrices whose
+    residual beta_m * |y_m| is below ``RITZ_RTOL`` * theta; for those, the
+    Ritz value and y_m**2 are the ones of ``_tridiagonal_newton``.
+
+    Replacing every eigenvalue of T_{m-1} by an upper bound b on the largest
+    shows theta below the largest eigenvalue U of [[b, beta], [beta,
+    alpha_m]], beta = beta_{m-1}.  As y_m**2 only falls as x rises above
+    theta, one pass of ``_pivots`` at U gives a lower bound on the residual;
+    a matrix whose bound is already too large keeps estimates and skips the
+    Newton iteration.
+    """
+    m, k = alpha.shape
+    if m == 1:
+        ritz = alpha[0].copy()
+        return ritz, np.ones(k), ritz.copy(), norm2 <= (RITZ_RTOL * ritz) ** 2
+    a, b2 = alpha[m - 1], beta2[m - 2]
+    bound = _top_root(prev_bound, a, b2) * (1.0 + 4.0 * _EPS)
+    ritz = _top_root(prev, a, b2 * prev_last2)
+    ysum, valid = _pivots(alpha, beta2, bound, slopes=False)
+    last2 = 1.0 / ysum
+    cand = ~valid | (norm2 * last2 <= (RITZ_RTOL * bound) ** 2)
+    conv = np.zeros(k, dtype=bool)
+    if np.any(cand):
+        idx = np.flatnonzero(cand)
+        theta, y2 = _tridiagonal_newton(alpha[:, idx], beta2[:, idx], ritz[idx], bound[idx])
+        ritz[idx], last2[idx] = theta, y2
+        bound[idx] = theta * (1.0 + 4.0 * _EPS)
+        conv[idx] = norm2[idx] * y2 <= (RITZ_RTOL * theta) ** 2
+    return ritz, last2, bound, conv
+
+
+def _gershgorin(alpha, beta2):
+    """Gershgorin's upper bound max_j(alpha_j + beta_{j-1} + beta_j) on each spectrum."""
+    beta = np.sqrt(beta2)
+    radius = np.zeros_like(alpha)
+    radius[:-1] += beta
+    radius[1:] += beta
+    return (alpha + radius).max(axis=0)
+
+
+def _top_root(d, a, c2):
+    """Largest eigenvalue of [[d, c], [c, a]] with c**2 = c2."""
+    half = 0.5 * (d - a)
+    return 0.5 * (d + a) + np.sqrt(half * half + c2)
+
+
+def _pivots(alpha, beta2, x, slopes=True):
+    """Bottom-up pivots of x - T for each tridiagonal T of the stack.
+
+    e_m = x - alpha_m and e_j = x - alpha_j - beta_j**2 / e_{j+1}, so that
+    det(x - T) = e_1 ... e_m.  Returns sum(y_j**2) for the vector with
+    y_m = 1 and y_j = y_{j+1} e_{j+1} / beta_j, whether e_2 .. e_m are all
+    positive, i.e. whether x lies above the spectrum of T without its first
+    row, and with ``slopes`` also e_1, its derivative e_1' and the derivative
+    sum(e_j' / e_j) of log det(x - T).  Where e_2 .. e_m are positive every
+    y_j**2 is a product of positive factors, and where x is an eigenvalue y
+    is its eigenvector.
+    """
+    m = alpha.shape[0]
+    xa = x - alpha
+    e = xa[m - 1]
+    low = e
+    y2 = ysum = de = 1.0
+    u = logdiff = None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if slopes:
+            u = logdiff = 1.0 / e  # e_j' / e_j, with e_m' = 1
+        for j in range(m - 2, -1, -1):
+            q = beta2[j] / e
+            y2 = y2 * (e / q)
+            ysum = ysum + y2
+            if slopes:
+                de = 1.0 + q * u
+            e = xa[j] - q
+            if slopes:
+                u = de / e
+                logdiff = logdiff + u
+            if j:
+                low = np.minimum(low, e)
+    if not slopes:
+        return ysum, low > 0.0
+    return ysum, low > 0.0, e, de, logdiff
+
+
+def _tridiagonal_newton(alpha, beta2, x, upper):
+    """Largest eigenvalue theta of each tridiagonal T and y_m**2 of its unit eigenvector.
+
+    Above the spectrum of T without its first row, theta is the one root
+    of the increasing, concave e_1 of ``_pivots``.  Newton's method runs on
+    e_1 left of theta, which it climbs without passing theta, and on
+    det(x - T) right of theta, which it descends without passing theta.  A
+    point below that spectrum moves to the smallest point seen above theta,
+    at first ``upper``.  The iteration ends once its step is below
+    ``_NEWTON_RTOL`` times the point, and takes that last step.
+    """
+    k = alpha.shape[1]
+    theta, last2 = np.empty(k), np.empty(k)
+    todo = np.arange(k)
+    while True:
+        ysum, valid, e, de, logdiff = _pivots(alpha, beta2, x)
+        right = valid & (e >= 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(right, 1.0 / logdiff, e / de)
+        fin = valid & (np.abs(step) <= _NEWTON_RTOL * x)
+        theta[todo[fin]] = (x - step)[fin]
+        last2[todo[fin]] = 1.0 / ysum[fin]
+        if np.all(fin):
+            return theta, last2
+        # an upper bound that turns out to lie below the trailing spectrum
+        # (by rounding) gives way to Gershgorin's bound with a margin
+        stuck = ~valid & (x >= upper)
+        if np.any(stuck):
+            upper = np.where(stuck, _gershgorin(alpha, beta2) * (1.0 + 2.0**-20), upper)
+        upper = np.where(right, x, upper)
+        x = np.where(valid, x - step, upper)
+        if np.any(fin):
+            keep = ~fin
+            todo, x, upper = todo[keep], x[keep], upper[keep]
+            alpha, beta2 = alpha[:, keep], beta2[:, keep]

@@ -1,16 +1,35 @@
-"""Seeded Monte Carlo sampling of correlated Wishart matrices.
+"""Seeded Monte Carlo sampling of the smallest eigenvalue of correlated Wishart matrices.
 
 Each sample index owns its own counter-based Philox stream keyed by
 (seed, index), so batches are reproducible regardless of evaluation order
 and trivially parallelizable.  Sampling happens in the eigenbasis of the
 population correlation matrix: the observable, the smallest eigenvalue of
-W W^dag, is invariant under the basis rotation, so row j of W simply gets
-variance lam_j (beta=1) or lam_j/2 per real component (beta=2).
+W W^dag, is invariant under the basis rotation, so W = Lambda^(1/2) G with
+G a p x n matrix of standard real (beta=1) or complex (beta=2, E|g|^2 = 1)
+Gaussians.
 
-A batch is drawn in chunks of samples.  One Philox generator is re-keyed
-to (seed, index) for each sample and fills that sample's row of uniforms,
-so every sample sees exactly the draws of its own ``RngStream``; the whole
-chunk then goes through one Box-Muller transform and one stacked SVD.
+W itself is never formed.  The LQ decomposition G = L Q leaves
+sigma(W) = sigma(Lambda^(1/2) L), and by Bartlett's decomposition (Bartlett
+1933; in the form of Edelman 1989 for both betas) the p x p lower-triangular
+factor L has independent entries: standard real or complex Gaussians below
+the diagonal, and on it L_ii**2 ~ chi2 with n - i + 1 degrees of freedom
+(beta=1) or Gamma(n - i + 1, 1) (beta=2), i = 1 .. p.  So each sample draws
+T = Lambda^(1/2) L directly, and its smallest singular value comes from
+``linalg.smallest_singular_value`` for lower-triangular matrices.
+
+Every sample takes a fixed number of uniforms from its stream, in this
+order (``_layout``): the Gaussians of ``RngStream.gaussians`` below the
+diagonal, the strictly lower triangle row by row (for beta=2 two
+consecutive Gaussians are the real and imaginary part of one entry), then
+(beta=1) one extra Gaussian for each row with an odd number of degrees of
+freedom; then the uniforms of the diagonal sums, Gamma(m) =
+-sum_{j<=m} log1p(-U_j) and chi2_m = 2 Gamma(m // 2) plus the extra
+Gaussian squared when m is odd; then, with ``rotate``, the Gaussians of
+the rotation.  No draw is rejected, so the chunks of a batch stay aligned
+with the streams: one Philox generator is re-keyed to (seed, index) for
+each sample and fills that sample's row of uniforms, and the whole chunk
+then goes through one Box-Muller transform, one ``log1p``, one segmented
+sum (``np.add.reduceat``) and one stacked sigma_min.
 """
 
 from __future__ import annotations
@@ -19,7 +38,6 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -29,7 +47,6 @@ from .spectra import EmpiricalSpectrum, EnsembleConfig
 __all__ = [
     "RngStream",
     "SampleBatch",
-    "sample_wishart",
     "sample_batch",
     "spectrum_hash",
     "batch_csv_text",
@@ -38,7 +55,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-# uniforms drawn per chunk of a batch (512 KiB): some 300 samples at
+# uniforms drawn per chunk of a batch (512 KiB): some 500 samples at
 # p=10, n=21, and a single sample once one sample needs more than this
 CHUNK_DRAWS = 1 << 16
 
@@ -97,34 +114,54 @@ class RngStream:
         return _box_muller(self._gen.random(2 * ((count + 1) // 2)))[:count]
 
 
-def _data_matrices(z: np.ndarray, spectrum: EmpiricalSpectrum, config: EnsembleConfig):
-    """Stack of p x n data matrices, one per row of beta*p*n standard normals.
+def _layout(config: EnsembleConfig, rotate: bool):
+    """Uniforms per sample: (Gaussian uniforms, diagonal-sum uniforms, rotation uniforms).
 
-    beta=1: real entries N(0, lam_j) in row j.  beta=2: complex entries with
-    independent real and imaginary parts N(0, lam_j/2), the real parts from
-    the first p*n normals and the imaginary parts from the rest.
+    Each count is even where it feeds Box-Muller, as a ``gaussians`` call
+    of that size would take it.
+    """
+    p, n, beta = config.p, config.n, config.beta
+    dof = n - np.arange(p)  # degrees of freedom of L_ii**2, i = 1 .. p
+    normals = beta * (p * (p - 1) // 2) + (int(np.count_nonzero(dof % 2)) if beta == 1 else 0)
+    sums = int(dof.sum()) if beta == 2 else int((dof // 2).sum())
+    rotation = beta * (p * p + p * p % 2) if rotate else 0
+    return normals + normals % 2, sums, rotation
+
+
+def _triangular_factors(u, spectrum: EmpiricalSpectrum, config: EnsembleConfig):
+    """Stack of T = Lambda^(1/2) L, one per row of ``u``.
+
+    Each row holds a sample's Gaussian and diagonal-sum uniforms, in the
+    order of the module docstring (the first two counts of ``_layout``).
     """
     if spectrum.p != config.p:
         raise ValueError(f"spectrum has p={spectrum.p} but config expects p={config.p}")
-    p, n = config.p, config.n
+    p, n, beta = config.p, config.n, config.beta
+    k = len(u)
+    normals, draws, _ = _layout(config, False)
+    z = _box_muller(u[:, :normals].reshape(-1)).reshape(k, normals)
+    logs = np.negative(u[:, normals : normals + draws])
+    np.log1p(logs, out=logs)
     lam = np.asarray(spectrum.lambdas)
-    if config.beta == 1:
-        return z.reshape(-1, p, n) * np.sqrt(lam)[:, None]
-    re = z[:, : p * n].reshape(-1, p, n)
-    im = z[:, p * n :].reshape(-1, p, n)
-    return (re + 1j * im) * np.sqrt(0.5 * lam)[:, None]
-
-
-def sample_wishart(
-    spectrum: EmpiricalSpectrum, config: EnsembleConfig, stream: RngStream
-) -> np.ndarray:
-    """One p x n data matrix W with row j variance set by lam_j.
-
-    beta=1: real entries N(0, lam_j).  beta=2: complex entries with
-    independent real and imaginary parts N(0, lam_j/2).
-    """
-    z = stream.gaussians(config.beta * config.p * config.n)
-    return _data_matrices(z[None], spectrum, config)[0]
+    dof = n - np.arange(p)
+    group = dof if beta == 2 else dof // 2
+    starts = np.concatenate(([0], np.cumsum(group)[:-1])) + draws * np.arange(k)[:, None]
+    sums = -np.add.reduceat(logs.reshape(-1), starts.reshape(-1)).reshape(k, p)
+    below = np.tri(p, k=-1, dtype=bool)
+    rows = np.nonzero(below)[0]
+    lower = len(rows)
+    if beta == 2:
+        # consecutive Gaussians are the real and imaginary part of one entry
+        entries = z[:, : 2 * lower].view(np.complex128) * np.sqrt(0.5 * lam)[rows]
+    else:
+        odd = np.flatnonzero(dof % 2)
+        sums *= 2.0
+        sums[:, odd] += z[:, lower : lower + len(odd)] ** 2
+        entries = z[:, :lower] * np.sqrt(lam)[rows]
+    t = np.zeros((k, p, p), dtype=entries.dtype)
+    t[:, below] = entries
+    t[:, np.arange(p), np.arange(p)] = np.sqrt(lam) * np.sqrt(sums)
+    return t
 
 
 @dataclass(frozen=True)
@@ -164,23 +201,22 @@ def sample_batch(
 ) -> SampleBatch:
     """count smallest eigenvalues lambda_min(W W^dag), sorted ascending.
 
-    Sample index k draws from stream (seed, k), so the batch is independent
-    of evaluation order: its W is ``sample_wishart(spectrum, config,
-    RngStream(seed, k))``, bit for bit.  Samples are drawn in chunks of
-    about ``CHUNK_DRAWS`` uniforms, each chunk reduced by one stacked SVD.
-    ``rotate`` left-multiplies each W by a random orthogonal (beta=1) or
-    unitary (beta=2) matrix, the Q of a QR of Gaussians drawn after W on the
-    same stream; the observable is invariant, so this exists purely as a
-    self-test of the eigenbasis reduction.
+    Sample index k draws T = Lambda^(1/2) L from stream (seed, k) alone, in
+    the order of the module docstring, so the batch is independent of
+    evaluation order.  Samples are drawn in chunks of about ``CHUNK_DRAWS``
+    uniforms, and each chunk's lambda_min are the squared smallest singular
+    values of its stack of T.  ``rotate`` left-multiplies each T by a random
+    orthogonal (beta=1) or unitary (beta=2) matrix, the Q of a QR of
+    Gaussians drawn after T on the same stream, and brings the product back
+    to lower-triangular form through a QR of its conjugate transpose; the
+    observable is invariant, so this exists purely as a self-test of the
+    eigenbasis reduction and the triangular sigma_min.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    p, n, beta = config.p, config.n, config.beta
-    # the Gaussians of each sample, as successive RngStream.gaussians calls;
-    # each call takes an even number of uniforms
-    sizes = [beta * p * n] + [p * p] * (beta if rotate else 0)
-    offsets = list(accumulate((c + c % 2 for c in sizes), initial=0))
-    width = offsets[-1]
+    p, beta = config.p, config.beta
+    normals, sums, rotation = _layout(config, rotate)
+    width = normals + sums + rotation
     u = np.empty((max(1, min(count, CHUNK_DRAWS // width)), width))
     stream = RngStream(seed)
     values = np.empty(count)
@@ -189,15 +225,15 @@ def sample_batch(
         for i, row in enumerate(chunk):
             stream.restart(start + i)
             stream.uniforms(row)
-        z = _box_muller(chunk.reshape(-1)).reshape(chunk.shape)
-        draws = [z[:, o : o + c] for o, c in zip(offsets, sizes)]
-        w = _data_matrices(draws[0], spectrum, config)
+        t = _triangular_factors(chunk, spectrum, config)
         if rotate:
-            g = draws[1].reshape(-1, p, p)
+            g = _box_muller(chunk[:, normals + sums :].reshape(-1)).reshape(len(chunk), beta, -1)
+            q = g[:, 0, : p * p].reshape(-1, p, p)
             if beta == 2:
-                g = g + 1j * draws[2].reshape(-1, p, p)
-            w = np.linalg.qr(g)[0] @ w
-        values[start : start + len(chunk)] = smallest_singular_value(w) ** 2
+                q = q + 1j * g[:, 1, : p * p].reshape(-1, p, p)
+            r = np.linalg.qr((np.linalg.qr(q)[0] @ t).conj().swapaxes(1, 2))[1]
+            t = r.conj().swapaxes(1, 2)
+        values[start : start + len(chunk)] = smallest_singular_value(t) ** 2
     values.sort()
     zeros = int(np.count_nonzero(values == 0.0))
     if zeros and config.p < config.n:

@@ -8,7 +8,10 @@ internal reordering ever happens.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "EmpiricalSpectrum",
@@ -89,22 +92,28 @@ def elementary_symmetric(spectrum: EmpiricalSpectrum) -> list:
     """All elementary symmetric polynomials e_0 .. e_p of the spectrum.
 
     Uses the stable product recurrence (multiplying out prod(1 + x*lam_i)
-    one eigenvalue at a time); every intermediate is a sum of positive
-    terms, so there is no cancellation.  The recurrence runs over a sorted
-    copy so the result is bit-identical under permutations of the spectrum
-    (the spectrum itself keeps its order).
+    one eigenvalue at a time, e_k += lam * e_{k-1} for every k at once from
+    the old values); every intermediate is a sum of positive terms, so there
+    is no cancellation.  The recurrence runs over a sorted copy so the result
+    is bit-identical under permutations of the spectrum (the spectrum itself
+    keeps its order).  An e_k that overflows, or that falls below the
+    smallest normal double and so loses its relative precision, raises
+    OverflowError.
     """
     lams = sorted(spectrum.lambdas)
-    p = len(lams)
-    e = [0.0] * (p + 1)
+    e = np.zeros(len(lams) + 1)
     e[0] = 1.0
-    for i, lam in enumerate(lams):
-        for k in range(min(i + 1, p), 0, -1):
-            e[k] += lam * e[k - 1]
-    if not all(math.isfinite(v) for v in e):
+    lower, upper = e[:-1], e[1:]
+    term = np.empty(len(lams))
+    with np.errstate(over="ignore", under="ignore"):  # reported below
+        for lam in lams:
+            # entries past the current degree add lam * 0.0 to 0.0
+            np.multiply(lower, lam, out=term)
+            np.add(upper, term, out=upper)
+    e = e.tolist()
+    if not (max(e) < math.inf and min(e) >= sys.float_info.min):
         raise OverflowError(
-            "elementary symmetric polynomials overflow double precision "
-            "for this spectrum"
+            "elementary symmetric polynomials leave double precision for this spectrum"
         )
     return e
 

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths it is used to check:
 brute-force enumeration, exact rational or high-precision decimal
 arithmetic, recursive determinant/Pfaffian expansions, a cyclic Jacobi
-eigensolver, adaptive Simpson quadrature and central differences.
+eigensolver, adaptive Simpson quadrature and central differences, and the
+direct Monte Carlo path that forms the whole p x n data matrix W and takes
+its singular values by LAPACK's SVD.
 """
 
 import math
@@ -12,6 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+
+from wishartmin.sampler import RngStream
 
 
 def enum_elementary_symmetric(lams):
@@ -112,6 +116,36 @@ def hermitian_smallest_eigenvalue(herm):
     return jacobi_smallest_eigenvalue(embed)
 
 
+def decimal_smallest_singular_value_2x2(t, prec=80):
+    """sigma_min of a lower-triangular 2 x 2 real or complex matrix, in decimal.
+
+    H = T T^dag is formed in exact rational arithmetic; det(H) =
+    |t11|^2 |t22|^2, and sigma_min^2 = det(H) / lambda_max(H) has no
+    cancellation, so ``prec`` digits reach every float exactly, whatever the
+    scale of the two rows.
+    """
+    getcontext().prec = prec
+    (t11, t12), (t21, t22) = [[complex(x) for x in row] for row in np.asarray(t)]
+    if t12 != 0:
+        raise ValueError("expected a lower-triangular matrix")
+
+    def sq(z):
+        return Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+
+    a = sq(t11)
+    d = sq(t21) + sq(t22)
+    # |(T T^dag)_21|^2 = |t21 conj(t11)|^2 = |t21|^2 |t11|^2
+    b2 = sq(t21) * sq(t11)
+    det = sq(t11) * sq(t22)
+
+    def dec(q):
+        return Decimal(q.numerator) / Decimal(q.denominator)
+
+    half = (a - d) / 2
+    lam_max = dec((a + d) / 2) + dec(half * half + b2).sqrt()
+    return float((dec(det) / lam_max).sqrt())
+
+
 def gamma2_tail(t):
     """Survival function of Gamma(2, 1): P(X > t) = (1 + t) exp(-t)."""
     return (1.0 + t) * math.exp(-t)
@@ -201,3 +235,43 @@ def derivative_check(f, g, grid, rel_step: float, t_scale=None) -> float:
         err = abs(gv + slope) / max(abs(gv), eps)
         worst = max(worst, err)
     return worst
+
+
+def _data_matrices(z, spectrum, config):
+    """Stack of p x n data matrices, one per row of beta*p*n standard normals.
+
+    beta=1: real entries N(0, lam_j) in row j.  beta=2: complex entries with
+    independent real and imaginary parts N(0, lam_j/2), the real parts from
+    the first p*n normals and the imaginary parts from the rest.
+    """
+    p, n = config.p, config.n
+    lam = np.asarray(spectrum.lambdas)
+    if config.beta == 1:
+        return z.reshape(-1, p, n) * np.sqrt(lam)[:, None]
+    re = z[:, : p * n].reshape(-1, p, n)
+    im = z[:, p * n :].reshape(-1, p, n)
+    return (re + 1j * im) * np.sqrt(0.5 * lam)[:, None]
+
+
+def sample_wishart(spectrum, config, stream):
+    """One p x n data matrix W with row j variance set by lam_j.
+
+    beta=1: real entries N(0, lam_j).  beta=2: complex entries with
+    independent real and imaginary parts N(0, lam_j/2).
+    """
+    z = stream.gaussians(config.beta * config.p * config.n)
+    return _data_matrices(z[None], spectrum, config)[0]
+
+
+def direct_smallest_eigenvalues(spectrum, config, count, seed):
+    """Sorted lambda_min(W W^dag) of W = sample_wishart(..., RngStream(seed, k)), k < count."""
+    z = np.stack([
+        RngStream(seed, k).gaussians(config.beta * config.p * config.n) for k in range(count)
+    ])
+    w = _data_matrices(z, spectrum, config)
+    return np.sort(np.linalg.svd(w, compute_uv=False)[:, -1] ** 2)
+
+
+def tril_factor(w):
+    """Lower-triangular L with the singular values of the p x n (p <= n) w: w = L Q."""
+    return np.linalg.qr(w.conj().T)[1].conj().T

@@ -347,6 +347,12 @@ SUBNORMAL = "1e-310\n2.0\n"
           "--t-max", "1", "--t-steps", "3"], SUBNORMAL),
         (["verify", "--mode", "micro", "--beta", "2", "--p", "2", "--n", "3",
           "--spectrum", "{spectrum}", "--count", "50", "--seed", "1"], SUBNORMAL),
+        # e_2 and e_3 of these spectra underflow double precision
+        (["exact", "--beta", "2", "--p", "3", "--n", "5", "--spectrum", "{spectrum}",
+          "--t-max", "1e-202", "--t-steps", "3"], "1e-200\n2e-200\n3e-200\n"),
+        (["verify", "--mode", "exact", "--beta", "1", "--p", "3", "--n", "8",
+          "--spectrum", "{spectrum}", "--count", "50", "--seed", "1"],
+         "1e-120\n2e-120\n3e-120\n"),
         (["verify", "--mode", "exact", "--beta", "2", "--p", "2", "--n", "3",
           "--spectrum", "{spectrum}", "--count", "50", "--seed", "1",
           "--ks-threshold", "nan"], TWO),
@@ -356,7 +362,8 @@ SUBNORMAL = "1e-310\n2.0\n"
     ],
     ids=["micro-gamma-40", "verify-micro-n-91", "micro-u-max-inf", "exact-t-max-inf",
          "micro-u-1e6", "exact-coefficient-overflow", "exact-subnormal-eigenvalue",
-         "verify-micro-subnormal-eigenvalue", "verify-ks-threshold-nan",
+         "verify-micro-subnormal-eigenvalue", "exact-e-k-underflow",
+         "verify-e-k-underflow", "verify-ks-threshold-nan",
          "verify-ks-threshold-negative"],
 )
 def test_rejected_input_exits_2(argv, spectrum_text, tmp_path, capsys):

@@ -11,7 +11,14 @@ from wishartmin.linalg import (
 )
 from wishartmin.numerics import SLOG_ZERO, signedlog_from_float, signedlog_to_float
 
-from oracles import cofactor_det, hermitian_smallest_eigenvalue, jacobi_smallest_eigenvalue, pfaffian_recursive
+from oracles import (
+    cofactor_det,
+    decimal_smallest_singular_value_2x2,
+    hermitian_smallest_eigenvalue,
+    jacobi_smallest_eigenvalue,
+    pfaffian_recursive,
+    tril_factor,
+)
 
 
 def slog_matrix(a):
@@ -122,55 +129,110 @@ class TestSqrtDetAntisymmetric:
 
 
 class TestSmallestSingularValue:
+    # general p x n matrices enter through their lower-triangular LQ factor,
+    # which has the same singular values
+
     def test_padded_diagonal(self):
         w = np.array([[3.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-        assert smallest_singular_value(w) == pytest.approx(2.0, rel=1e-14)
+        assert smallest_singular_value(tril_factor(w)) == pytest.approx(2.0, rel=1e-14)
 
     def test_row_vector_is_norm(self):
         w = np.array([[1.0, 2.0, 2.0]])
-        assert smallest_singular_value(w) == pytest.approx(3.0, rel=1e-14)
+        assert smallest_singular_value(tril_factor(w)) == pytest.approx(3.0, rel=1e-14)
 
     def test_against_jacobi_oracle(self):
         rng = np.random.default_rng(42)
         w = rng.standard_normal((5, 8))
         want = jacobi_smallest_eigenvalue(w @ w.T)
-        assert smallest_singular_value(w) ** 2 == pytest.approx(want, rel=1e-9)
+        assert smallest_singular_value(tril_factor(w)) ** 2 == pytest.approx(want, rel=1e-9)
 
     def test_complex_against_hermitian_embedding(self):
         rng = np.random.default_rng(7)
         w = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
         want = hermitian_smallest_eigenvalue(w @ w.conj().T)
-        assert smallest_singular_value(w) ** 2 == pytest.approx(want, rel=1e-9)
+        assert smallest_singular_value(tril_factor(w)) ** 2 == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_invariant_under_right_rotation(self, seed):
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((4, 7))
         q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
-        assert smallest_singular_value(w @ q) == pytest.approx(
-            smallest_singular_value(w), rel=1e-9
+        assert smallest_singular_value(tril_factor(w @ q)) == pytest.approx(
+            smallest_singular_value(tril_factor(w)), rel=1e-9
         )
 
     def test_complex_transposed_view(self):
         # a non-contiguous complex matrix is valid input
         rng = np.random.default_rng(5)
-        w = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
-        assert smallest_singular_value(w.T) == smallest_singular_value(w.T.copy())
+        upper = np.triu(rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))
+        t = upper.T
+        assert not t.flags.c_contiguous
+        assert smallest_singular_value(t) == smallest_singular_value(t.copy())
 
     def test_stack_matches_each_matrix(self):
         rng = np.random.default_rng(3)
-        w = rng.standard_normal((6, 4, 7)) + 1j * rng.standard_normal((6, 4, 7))
-        s = smallest_singular_value(w)
+        t = np.tril(rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4)))
+        s = smallest_singular_value(t)
         assert s.shape == (6,)
-        assert s.tolist() == [smallest_singular_value(m) for m in w]
+        assert s.tolist() == [smallest_singular_value(m) for m in t]
+
+    @pytest.mark.parametrize("p", [1, 2, 10, 33, 200])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_svd(self, p, dtype):
+        rng = np.random.default_rng(p)
+        t = np.tril(rng.standard_normal((3, p, p)))
+        if dtype is complex:
+            t = t + 1j * np.tril(rng.standard_normal((3, p, p)), -1)
+        # Bartlett-like diagonal, so that the matrices are well conditioned
+        t[:, np.arange(p), np.arange(p)] += np.sqrt(p + 2.0 - np.arange(p))
+        want = np.linalg.svd(t, compute_uv=False)[:, -1]
+        assert np.allclose(smallest_singular_value(t), want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_two_smallest_singular_values_coincide(self, dtype):
+        rng = np.random.default_rng(11)
+        p = 12
+        u, _ = np.linalg.qr(rng.standard_normal((p, p)) + (dtype is complex) * 1j * rng.standard_normal((p, p)))
+        v, _ = np.linalg.qr(rng.standard_normal((p, p)) + (dtype is complex) * 1j * rng.standard_normal((p, p)))
+        sigma = np.linspace(0.5, 4.0, p)
+        sigma[:2] = 0.5
+        t = tril_factor((u * sigma) @ v.conj().T)
+        want = np.linalg.svd(t, compute_uv=False)
+        assert want[-1] == pytest.approx(want[-2], rel=1e-13)
+        assert smallest_singular_value(t) == pytest.approx(want[-1], rel=1e-12)
+
+    def test_singular_is_exactly_zero(self):
+        t = np.tril(np.arange(1.0, 17.0).reshape(4, 4))
+        t[2, 2] = 0.0
+        assert smallest_singular_value(t) == 0.0
+        s = smallest_singular_value(np.stack([t, np.eye(4)]))
+        assert s[0] == 0.0 and s[1] == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("lams", [(1e-310, 2.0), (1e300, 1.0), (2.0, 1e-310), (1.0, 1e300)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_extreme_row_scales(self, lams, dtype):
+        # T = Lambda^(1/2) L as the sampler draws it; LAPACK's SVD loses all
+        # relative accuracy on such graded rows, so the reference is decimal
+        rng = np.random.default_rng(19)
+        low = np.tril(rng.standard_normal((2, 2)))
+        if dtype is complex:
+            low = low + 1j * np.tril(rng.standard_normal((2, 2)), -1)
+        low[np.arange(2), np.arange(2)] = np.abs(low.diagonal()) + 1.0
+        t = np.sqrt(np.array(lams))[:, None] * low
+        want = decimal_smallest_singular_value_2x2(t)
+        assert smallest_singular_value(t) == pytest.approx(want, rel=1e-12)
 
     def test_rejects_tall_matrix(self):
         with pytest.raises(ValueError):
             smallest_singular_value(np.zeros((3, 2)))
 
+    def test_rejects_upper_entries(self):
+        with pytest.raises(ValueError, match="lower-triangular"):
+            smallest_singular_value(np.array([[1.0, 1e-300], [0.0, 1.0]]))
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            smallest_singular_value(np.array([[1.0, math.nan]]))
+            smallest_singular_value(np.array([[1.0, 0.0], [math.nan, 1.0]]))
 
     @pytest.mark.parametrize("shape", [(2, 3, 2), (3,), (1, 1, 2, 3)])
     def test_rejects_bad_stack_shape(self, shape):
@@ -179,4 +241,4 @@ class TestSmallestSingularValue:
 
     def test_rejects_non_finite_in_stack(self):
         with pytest.raises(ValueError):
-            smallest_singular_value(np.array([[[1.0, 2.0]], [[1j * math.inf, 0.0]]]))
+            smallest_singular_value(np.array([[[1.0]], [[1j * math.inf]]]))

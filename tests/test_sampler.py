@@ -12,7 +12,6 @@ from wishartmin.sampler import (
     batch_csv_text,
     batch_metadata,
     sample_batch,
-    sample_wishart,
     spectrum_hash,
 )
 from wishartmin.linalg import smallest_singular_value
@@ -20,7 +19,7 @@ from wishartmin.spectra import EmpiricalSpectrum, make_config
 from wishartmin.stats import ks_statistic
 
 from conftest import BENCH10_SPECTRUM
-from oracles import gamma2_tail, normal_cdf
+from oracles import direct_smallest_eigenvalues, gamma2_tail, normal_cdf, sample_wishart
 
 
 class TestRngStream:
@@ -52,7 +51,58 @@ class TestRngStream:
         assert pair.tolist() == z[:2].tolist()
 
 
+def bartlett_factor(spectrum, config, stream):
+    """T = Lambda^(1/2) L of one sample, read entry by entry off ``stream``.
+
+    The order is the sampler's documented one: the Gaussians below the
+    diagonal row by row (beta=2: real and imaginary part in turn), the extra
+    Gaussians of the odd chi2 rows (beta=1), then the uniforms of the
+    diagonal sums, reduced by ``np.add.reduceat`` as the sampler does.
+    """
+    p, n, beta = config.p, config.n, config.beta
+    lam = spectrum.lambdas
+    dof = [n - i for i in range(p)]
+    lower = p * (p - 1) // 2
+    odd = [i for i in range(p) if dof[i] % 2] if beta == 1 else []
+    z = stream.gaussians(beta * lower + len(odd))
+    group = dof if beta == 2 else [m // 2 for m in dof]
+    u = np.empty(sum(group))
+    stream.uniforms(u)
+    sums = -np.add.reduceat(np.log1p(-u), np.cumsum([0] + group[:-1]))
+    t = np.zeros((p, p), dtype=complex if beta == 2 else float)
+    k = 0
+    for i in range(p):
+        for j in range(i):
+            if beta == 2:
+                t[i, j] = np.complex128(complex(z[2 * k], z[2 * k + 1])) * np.sqrt(0.5 * lam[i])
+            else:
+                t[i, j] = z[k] * np.sqrt(lam[i])
+            k += 1
+        diag = sums[i] if beta == 2 else 2.0 * sums[i]
+        if i in odd:
+            diag += z[lower + odd.index(i)] ** 2
+        t[i, i] = np.sqrt(lam[i]) * np.sqrt(diag)
+    return t
+
+
+def uniforms_per_sample(config):
+    p, n, beta = config.p, config.n, config.beta
+    dof = [n - i for i in range(p)]
+    normals = beta * (p * (p - 1) // 2) + (sum(m % 2 for m in dof) if beta == 1 else 0)
+    return normals + normals % 2 + (sum(dof) if beta == 2 else sum(m // 2 for m in dof))
+
+
+def two_sample_ks(a, b):
+    """sup |F_a - F_b| of two empirical CDFs."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(a, grid, side="right") / len(a)
+    fb = np.searchsorted(b, grid, side="right") / len(b)
+    return float(np.max(np.abs(fa - fb)))
+
+
 class TestSampleWishart:
+    # the direct reference path: the whole p x n W from its stream
     def test_shapes_and_dtypes(self):
         spec = EmpiricalSpectrum((1.0, 2.0))
         w1 = sample_wishart(spec, make_config(1, 2, 5), RngStream(0, 0))
@@ -121,32 +171,54 @@ class TestSampleBatch:
     def test_streams_indexed_by_sample(self, beta, lams, n):
         spec = EmpiricalSpectrum(lams)
         cfg = make_config(beta, len(lams), n)
-        count = 2 * (CHUNK_DRAWS // (beta * cfg.p * n)) + 7  # two chunks and a remainder
+        # two chunks and a remainder
+        count = 2 * (CHUNK_DRAWS // uniforms_per_sample(cfg)) + 7
         batch = sample_batch(spec, cfg, count, seed=21)
-        # squared as the batch squares: one correctly rounded multiply
-        singles = np.sort([
-            smallest_singular_value(sample_wishart(spec, cfg, RngStream(21, k)))
-            for k in range(count)
-        ]) ** 2
-        assert np.array_equal(batch.values, singles)
+        factors = np.stack([bartlett_factor(spec, cfg, RngStream(21, k)) for k in range(count)])
+        # squared as the batch squares: one correctly rounded multiply;
+        # each value of a stack is independent of the rest of it
+        assert np.array_equal(batch.values, np.sort(smallest_singular_value(factors) ** 2))
 
-    def test_chunked_draws_are_the_stream_gaussians(self, monkeypatch):
-        # with a unit spectrum at beta=1, each W is its stream's Gaussians
+    @pytest.mark.parametrize(
+        "beta, n", [(1, 9), (2, 6)], ids=["beta1-p4-n9", "beta2-p4-n6"])
+    def test_chunked_factors_are_the_stream_factors(self, monkeypatch, beta, n):
         stacks = []
 
-        def record(w):
-            stacks.append(w.copy())
-            return smallest_singular_value(w)
+        def record(t):
+            stacks.append(t.copy())
+            return smallest_singular_value(t)
 
         monkeypatch.setattr(sampler, "smallest_singular_value", record)
-        cfg = make_config(1, 4, 9)
-        m = cfg.p * cfg.n
-        count = 2 * (CHUNK_DRAWS // m) + 5
-        sample_batch(EmpiricalSpectrum((1.0,) * cfg.p), cfg, count, seed=-3)
+        spec = EmpiricalSpectrum((0.5, 1.0, 2.0, 7.0))
+        cfg = make_config(beta, 4, n)
+        count = 2 * (CHUNK_DRAWS // uniforms_per_sample(cfg)) + 5
+        sample_batch(spec, cfg, count, seed=-3)
         assert len(stacks) == 3
-        drawn = np.concatenate(stacks).reshape(count, m)
-        want = np.stack([RngStream(-3, k).gaussians(m) for k in range(count)])
-        assert np.array_equal(drawn, want)
+        want = np.stack([bartlett_factor(spec, cfg, RngStream(-3, k)) for k in range(count)])
+        assert np.array_equal(np.concatenate(stacks), want)
+
+    @pytest.mark.parametrize(
+        "beta, p, n, seeds",
+        [(1, 20, 25, (5, 6)), (2, 30, 32, (7, 8))],
+        ids=["beta1-p20-n25", "beta2-p30-n32"],
+    )
+    def test_same_law_as_direct_path(self, beta, p, n, seeds):
+        # two-sample KS at alpha = 0.01 against the sorted lambda_min of the
+        # whole W, drawn from other streams so that the samples are independent
+        spec = EmpiricalSpectrum(tuple(np.linspace(0.5, 3.0, p)))
+        cfg = make_config(beta, p, n)
+        count = 3000
+        bartlett = sample_batch(spec, cfg, count, seed=seeds[0]).values
+        direct = direct_smallest_eigenvalues(spec, cfg, count, seeds[1])
+        assert two_sample_ks(bartlett, direct) < 1.63 * math.sqrt(2.0 / count)
+
+    def test_never_calls_svd(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        for beta, n in ((1, 13), (2, 12)):
+            sample_batch(EmpiricalSpectrum(BENCH10_SPECTRUM), make_config(beta, 10, n), 600, seed=2)
 
     def test_restart_matches_new_stream(self):
         stream = RngStream(8, 0)

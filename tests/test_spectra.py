@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from wishartmin.exactlaw import ExactLaw
 from wishartmin.spectra import (
     EmpiricalSpectrum,
     elementary_symmetric,
@@ -16,6 +17,18 @@ from wishartmin.spectra import (
 
 from conftest import BENCH10_SPECTRUM
 from oracles import decimal_inverse_sum, enum_elementary_symmetric
+
+
+def scalar_elementary_symmetric(lams):
+    """The one-entry-at-a-time recurrence that ``elementary_symmetric`` vectorizes."""
+    lams = sorted(lams)
+    p = len(lams)
+    e = [0.0] * (p + 1)
+    e[0] = 1.0
+    for i, lam in enumerate(lams):
+        for k in range(min(i + 1, p), 0, -1):
+            e[k] += lam * e[k - 1]
+    return e
 
 
 class TestEmpiricalSpectrum:
@@ -120,6 +133,27 @@ class TestElementarySymmetric:
     def test_overflow_reported(self):
         with pytest.raises(OverflowError):
             elementary_symmetric(EmpiricalSpectrum((1e300, 1e300)))
+
+    @pytest.mark.parametrize(
+        "lams, beta, n",
+        [((1e-200, 2e-200, 3e-200), 2, 5), ((1e-120, 2e-120, 3e-120), 1, 8)],
+        ids=["beta2", "beta1"],
+    )
+    def test_underflow_reported(self, lams, beta, n):
+        # e_3 (and for beta=2 also e_2) falls below the smallest normal
+        # double; the law built on it used to return gap 0 at t = 0
+        spectrum = EmpiricalSpectrum(lams)
+        with pytest.raises(OverflowError, match="leave double precision"):
+            elementary_symmetric(spectrum)
+        with pytest.raises(OverflowError):
+            ExactLaw(spectrum, make_config(beta, 3, n))
+
+    def test_bit_identical_to_the_scalar_recurrence(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            p = rng.randint(1, 300)
+            lams = [math.exp(rng.uniform(-2.0, 2.0)) for _ in range(p)]
+            assert elementary_symmetric(EmpiricalSpectrum(tuple(lams))) == scalar_elementary_symmetric(lams)
 
 
 class TestEtaScale:
