@@ -117,9 +117,11 @@ def _write_atomic(path: str, text: str):
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise CliError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -252,7 +254,10 @@ def cmd_verify(args, argv) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    hist = build_histogram(positions, args.bins)
+    try:
+        hist = build_histogram(positions, args.bins)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     lefts, rights = hist.edges[:-1], hist.edges[1:]
     analytic = density_grid(0.5 * (lefts + rights))
     hist_lines = [f"# command: {_command_line(argv)}", "bin_left,bin_right,density,analytic_pmin"]

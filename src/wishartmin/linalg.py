@@ -13,10 +13,12 @@ factor T = Lambda^(1/2) L of its LQ decomposition, which has the same
 singular values (Bartlett 1933; Edelman 1989).  sigma_min(T) is
 1 / sigma_max(T^-1): T is inverted blockwise after an exact power-of-two
 scaling, and sigma_max(T^-1)**2, the largest eigenvalue of T^-H T^-1, comes
-from a Lanczos iteration with full reorthogonalization that stops on the
-residual bound of its top Ritz pair.  That bound is met by step p at the
-latest, so there is no iteration cap, and the whole path stays clear of
-the squared condition number that eigensolving T T^dag would cost.
+from a Lanczos iteration with full reorthogonalization that stops once the
+residual of its top Ritz pair is small.  A pivot pass at an interlacing
+upper bound screens out matrices that cannot have converged; for the rest,
+LAPACK's eigvalsh gives the Ritz value and a twisted factorization its
+residual.  That is zero at step p, so there is no iteration cap, and the
+path stays clear of the squared condition number of eigensolving T T^dag.
 """
 
 from __future__ import annotations
@@ -192,9 +194,6 @@ def jacobi_gap_density(log_pref, rate, power, mant, expo, dmant=None, dexpo=None
 # RITZ_RTOL times its Ritz value; that Ritz value is then within the same
 # relative distance of an eigenvalue of A^H A, so sigma_min within half of it
 RITZ_RTOL = 2.0 ** -45
-# Newton on the Ritz value stops once its step is below this relative size;
-# one more step would move it by about the square of that
-_NEWTON_RTOL = 2.0 ** -30
 # diagonal blocks up to this size are inverted by one LAPACK call
 _INV_LEAF = 32
 
@@ -290,14 +289,12 @@ def _top_eigenvalue(a):
 
     Each step applies A^H A to the newest Lanczos vector, orthogonalizes the
     result against every earlier vector (classical Gram-Schmidt, twice) and
-    so extends the tridiagonal matrix T_m of the recurrence.  The largest
-    Ritz value theta of T_m and the last entry y_m of its unit eigenvector
-    give the Ritz pair's residual in the full space, beta_m * |y_m|.  A
-    matrix leaves the iteration once that residual is below ``RITZ_RTOL`` *
-    theta (``_ritz_step``), or at step p, where the Krylov space is the whole
-    space and beta_p is zero.  Only the matrices still iterating are carried
-    on, and every step is computed matrix by matrix, so each value is
-    independent of the stack around it.
+    so extends the tridiagonal matrix T_m of the recurrence.  A matrix
+    leaves once the residual of the top Ritz pair of T_m is below
+    ``RITZ_RTOL`` times its Ritz value (``_ritz_step``), at step p at the
+    latest, where beta_p is zero.  Only the matrices still iterating are
+    carried on, and every step is computed matrix by matrix, so each value
+    is independent of the stack around it.
     """
     top = np.maximum(a.view(np.float64).max(axis=(1, 2)), -a.view(np.float64).min(axis=(1, 2)))
     if not np.all(np.isfinite(top)):
@@ -309,9 +306,7 @@ def _top_eigenvalue(a):
     v = np.broadcast_to(_start_vector(p).astype(a.dtype), (k, p))
     alpha = np.empty((p, k))
     beta2 = np.empty((p, k))  # beta2[j] = beta_j**2 couples rows j and j+1 of T
-    theta = np.empty(k)
-    ritz = last2 = bound = None
-    rows = np.arange(k)
+    theta, bound, rows = np.empty(k), None, np.arange(k)
     for j in range(p):
         basis[:, j] = v
         # A^H (A v) as the conjugate of (A v)^H A
@@ -325,144 +320,93 @@ def _top_eigenvalue(a):
         norm2 = (w.conj()[:, None, :] @ w[..., None])[:, 0, 0].real
         if j == p - 1:
             norm2[:] = 0.0
-        ritz, last2, bound, conv = _ritz_step(alpha[: j + 1], beta2[:j], norm2, ritz, last2, bound)
+        ritz, bound, conv = _ritz_step(alpha[: j + 1], beta2[:j], norm2, bound)
         if np.any(conv):
             theta[rows[conv]] = ritz[conv]
             keep = ~conv
             if not np.any(keep):
                 break
             rows, a, basis, w = rows[keep], a[keep], basis[keep], w[keep]
-            alpha, beta2, norm2 = alpha[:, keep], beta2[:, keep], norm2[keep]
-            ritz, last2, bound = ritz[keep], last2[keep], bound[keep]
+            alpha, beta2, norm2, bound = alpha[:, keep], beta2[:, keep], norm2[keep], bound[keep]
         beta2[j] = norm2
         v = w / np.sqrt(norm2)[:, None]
     return theta, f
 
 
-def _ritz_step(alpha, beta2, norm2, prev, prev_last2, prev_bound):
-    """The top Ritz pair of each tridiagonal T_m and whether its residual is small.
+def _ritz_step(alpha, beta2, norm2, prev_bound):
+    """The top Ritz value theta of each tridiagonal T_m and whether its residual is small.
 
-    ``alpha`` (m, k) holds the diagonals of T_m, ``beta2`` (m - 1, k) its
-    squared off-diagonals and ``norm2`` the squared beta_m of the next
-    Lanczos vector.  ``prev``, ``prev_last2`` and ``prev_bound`` are what the
-    previous step returned: the top Ritz value of T_{m-1} or an estimate of
-    it, y_{m-1}**2 or an estimate of it, and an upper bound on that Ritz
-    value.  Returns the same three for T_m and the mask of matrices whose
-    residual beta_m * |y_m| is below ``RITZ_RTOL`` * theta; for those, the
-    Ritz value and y_m**2 are the ones of ``_tridiagonal_newton``.
+    ``alpha`` (m, k) and ``beta2`` (m - 1, k) hold the diagonals and squared
+    off-diagonals of T_m, ``norm2`` the squared beta_m of the next Lanczos
+    vector, ``prev_bound`` an upper bound on theta for T_{m-1}.  Returns
+    (theta, bound, conv): theta where conv marks a residual beta_m * |y_m| of
+    at most ``RITZ_RTOL`` * theta (or beta_m = 0), and an upper bound on it.
 
-    Replacing every eigenvalue of T_{m-1} by an upper bound b on the largest
-    shows theta below the largest eigenvalue U of [[b, beta], [beta,
-    alpha_m]], beta = beta_{m-1}.  As y_m**2 only falls as x rises above
-    theta, one pass of ``_pivots`` at U gives a lower bound on the residual;
-    a matrix whose bound is already too large keeps estimates and skips the
-    Newton iteration.
+    By interlacing, theta is below the top eigenvalue U of [[prev_bound,
+    beta_{m-1}], [beta_{m-1}, alpha_m]].  As y_m**2 only falls as x rises
+    above theta, ``_pivots`` at U bounds the residual from below and screens
+    out matrices that cannot have converged.  For the rest, LAPACK's
+    eigvalsh gives theta and ``_last_entry2`` y_m**2.
     """
     m, k = alpha.shape
     if m == 1:
-        ritz = alpha[0].copy()
-        return ritz, np.ones(k), ritz.copy(), norm2 <= (RITZ_RTOL * ritz) ** 2
-    a, b2 = alpha[m - 1], beta2[m - 2]
-    bound = _top_root(prev_bound, a, b2) * (1.0 + 4.0 * _EPS)
-    ritz = _top_root(prev, a, b2 * prev_last2)
-    ysum, valid = _pivots(alpha, beta2, bound, slopes=False)
-    last2 = 1.0 / ysum
-    cand = ~valid | (norm2 * last2 <= (RITZ_RTOL * bound) ** 2)
-    conv = np.zeros(k, dtype=bool)
-    if np.any(cand):
-        idx = np.flatnonzero(cand)
-        theta, y2 = _tridiagonal_newton(alpha[:, idx], beta2[:, idx], ritz[idx], bound[idx])
-        ritz[idx], last2[idx] = theta, y2
-        bound[idx] = theta * (1.0 + 4.0 * _EPS)
-        conv[idx] = norm2[idx] * y2 <= (RITZ_RTOL * theta) ** 2
-    return ritz, last2, bound, conv
+        theta = alpha[0].copy()
+        return theta, theta.copy(), norm2 <= (RITZ_RTOL * theta) ** 2
+    half = 0.5 * (prev_bound - alpha[m - 1])
+    bound = (0.5 * (prev_bound + alpha[m - 1]) + np.sqrt(half * half + beta2[m - 2])) * (1.0 + 4.0 * _EPS)
+    e, _, ysum = _pivots(alpha, beta2, bound)
+    theta, conv = bound.copy(), np.zeros(k, dtype=bool)
+    cand = np.flatnonzero(~np.all(e[1:] > 0.0, axis=0) | (norm2 / ysum[0] <= (RITZ_RTOL * bound) ** 2))
+    if len(cand):
+        a, b2, res2 = alpha[:, cand], beta2[:, cand], norm2[cand]
+        t, i = np.zeros((len(cand), m, m)), np.arange(m)
+        t[:, i, i] = a.T
+        t[:, i[1:], i[:-1]] = np.sqrt(b2.T)  # eigvalsh reads the lower triangle
+        top = np.linalg.eigvalsh(t)[:, -1]
+        conv[cand] = (res2 == 0.0) | (res2 * _last_entry2(a, b2, top) <= (RITZ_RTOL * top) ** 2)
+        theta[cand] = top
+        bound[cand] = top * (1.0 + 4.0 * _EPS)
+    return theta, bound, conv
 
 
-def _gershgorin(alpha, beta2):
-    """Gershgorin's upper bound max_j(alpha_j + beta_{j-1} + beta_j) on each spectrum."""
-    beta = np.sqrt(beta2)
-    radius = np.zeros_like(alpha)
-    radius[:-1] += beta
-    radius[1:] += beta
-    return (alpha + radius).max(axis=0)
-
-
-def _top_root(d, a, c2):
-    """Largest eigenvalue of [[d, c], [c, a]] with c**2 = c2."""
-    half = 0.5 * (d - a)
-    return 0.5 * (d + a) + np.sqrt(half * half + c2)
-
-
-def _pivots(alpha, beta2, x, slopes=True):
+def _pivots(alpha, beta2, x):
     """Bottom-up pivots of x - T for each tridiagonal T of the stack.
 
     e_m = x - alpha_m and e_j = x - alpha_j - beta_j**2 / e_{j+1}, so that
-    det(x - T) = e_1 ... e_m.  Returns sum(y_j**2) for the vector with
-    y_m = 1 and y_j = y_{j+1} e_{j+1} / beta_j, whether e_2 .. e_m are all
-    positive, i.e. whether x lies above the spectrum of T without its first
-    row, and with ``slopes`` also e_1, its derivative e_1' and the derivative
-    sum(e_j' / e_j) of log det(x - T).  Where e_2 .. e_m are positive every
-    y_j**2 is a product of positive factors, and where x is an eigenvalue y
-    is its eigenvector.
+    det(x - T) = e_1 ... e_m.  Returns the pivots e, the y_j**2 of the
+    vector with y_m = 1 and y_j = y_{j+1} e_{j+1} / beta_j, and their sums
+    from j to m, all (m, k).  Where e_2 .. e_m are positive, x is above the
+    spectrum of T without its first row and each y_j**2 a positive product.
     """
     m = alpha.shape[0]
-    xa = x - alpha
-    e = xa[m - 1]
-    low = e
-    y2 = ysum = de = 1.0
-    u = logdiff = None
+    e = x - alpha
+    y2, ysum = np.ones_like(e), np.ones_like(e)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if slopes:
-            u = logdiff = 1.0 / e  # e_j' / e_j, with e_m' = 1
         for j in range(m - 2, -1, -1):
-            q = beta2[j] / e
-            y2 = y2 * (e / q)
-            ysum = ysum + y2
-            if slopes:
-                de = 1.0 + q * u
-            e = xa[j] - q
-            if slopes:
-                u = de / e
-                logdiff = logdiff + u
-            if j:
-                low = np.minimum(low, e)
-    if not slopes:
-        return ysum, low > 0.0
-    return ysum, low > 0.0, e, de, logdiff
+            q = beta2[j] / e[j + 1]
+            e[j] -= q
+            y2[j] = y2[j + 1] * (e[j + 1] / q)
+            ysum[j] = ysum[j + 1] + y2[j]
+    return e, y2, ysum
 
 
-def _tridiagonal_newton(alpha, beta2, x, upper):
-    """Largest eigenvalue theta of each tridiagonal T and y_m**2 of its unit eigenvector.
+def _last_entry2(alpha, beta2, theta):
+    """y_m**2 of the unit eigenvector of each tridiagonal T for its eigenvalue theta.
 
-    Above the spectrum of T without its first row, theta is the one root
-    of the increasing, concave e_1 of ``_pivots``.  Newton's method runs on
-    e_1 left of theta, which it climbs without passing theta, and on
-    det(x - T) right of theta, which it descends without passing theta.  A
-    point below that spectrum moves to the smallest point seen above theta,
-    at first ``upper``.  The iteration ends once its step is below
-    ``_NEWTON_RTOL`` times the point, and takes that last step.
+    ``_pivots`` alone is accurate only where that vector grows away from row
+    m.  So it comes from the twisted factorization of theta - T at the row r
+    of smallest |gamma_r| = |d_r + e_r - (theta - alpha_r)|: rows r .. m by
+    the bottom-up pivots e_j, rows 1 .. r by the top-down pivots d_j, both
+    run towards the peak of the vector.
     """
-    k = alpha.shape[1]
-    theta, last2 = np.empty(k), np.empty(k)
-    todo = np.arange(k)
-    while True:
-        ysum, valid, e, de, logdiff = _pivots(alpha, beta2, x)
-        right = valid & (e >= 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(right, 1.0 / logdiff, e / de)
-        fin = valid & (np.abs(step) <= _NEWTON_RTOL * x)
-        theta[todo[fin]] = (x - step)[fin]
-        last2[todo[fin]] = 1.0 / ysum[fin]
-        if np.all(fin):
-            return theta, last2
-        # an upper bound that turns out to lie below the trailing spectrum
-        # (by rounding) gives way to Gershgorin's bound with a margin
-        stuck = ~valid & (x >= upper)
-        if np.any(stuck):
-            upper = np.where(stuck, _gershgorin(alpha, beta2) * (1.0 + 2.0**-20), upper)
-        upper = np.where(right, x, upper)
-        x = np.where(valid, x - step, upper)
-        if np.any(fin):
-            keep = ~fin
-            todo, x, upper = todo[keep], x[keep], upper[keep]
-            alpha, beta2 = alpha[:, keep], beta2[:, keep]
+    e, y2, below = _pivots(alpha, beta2, theta)
+    d = theta - alpha
+    w = np.zeros_like(d)  # sum over i < j of y_i**2 / y_j**2, from the top
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(1, alpha.shape[0]):
+            q = beta2[j - 1] / d[j - 1]
+            w[j] = q / d[j - 1] * (1.0 + w[j - 1])
+            d[j] -= q
+        norms = below + y2 * w  # |y|**2 / y_m**2 with the twist at each row
+        r = np.argmin(np.abs(d + e - (theta - alpha)), axis=0)
+        return 1.0 / norms[r, np.arange(len(r))]

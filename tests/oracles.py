@@ -9,7 +9,7 @@ its singular values by LAPACK's SVD.
 """
 
 import math
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from itertools import combinations
 
@@ -145,6 +145,64 @@ def decimal_smallest_singular_value_2x2(t, prec=80):
     lam_max = dec((a + d) / 2) + dec(half * half + b2).sqrt()
     return float((dec(det) / lam_max).sqrt())
 
+
+
+def decimal_tridiagonal_top(alpha, beta2, prec=60):
+    """Top eigenvalue of a symmetric tridiagonal T and y_m**2 of its unit eigenvector.
+
+    T has diagonal ``alpha`` and squared off-diagonals ``beta2``, both taken
+    exactly, and every step runs in ``prec``-digit decimal arithmetic.  A
+    zero beta splits T into blocks, each solved on its own: theta by
+    bisection on the Sturm count, the eigenvector from the twisted
+    factorization of theta - T whose twist has the smallest |gamma_r|, so
+    that no recurrence runs in its unstable direction.  Returns (theta,
+    y_m**2) as floats; y_m is 0 when the top eigenvalue lies only in blocks
+    above the last, and the last block's value when the last block shares it.
+    """
+    with localcontext() as ctx:
+        ctx.prec = prec
+        a = [Decimal(float(x)) for x in alpha]
+        b2 = [Decimal(float(x)) for x in beta2]
+        cuts = [0] + [j + 1 for j, x in enumerate(b2) if x == 0] + [len(a)]
+        tops = [_decimal_block_top(a[lo:hi], b2[lo : hi - 1], prec) for lo, hi in zip(cuts, cuts[1:])]
+        theta = max(tops)
+        if tops[-1] < theta:
+            return float(theta), 0.0
+        return float(theta), float(_decimal_last_entry2(a[cuts[-2] :], b2[cuts[-2] :], theta))
+
+
+def _decimal_block_top(a, b2, prec):
+    """Largest eigenvalue of an unreduced tridiagonal block, by bisection."""
+    beta = [x.sqrt() for x in b2] + [Decimal(0)]
+    lo = max(a)
+    hi = max(aj + beta[j] + (beta[j - 1] if j else 0) for j, aj in enumerate(a))
+    tiny = Decimal(10) ** (-2 * prec)
+    while hi - lo > hi.copy_abs() * Decimal(10) ** (4 - prec):
+        mid = (lo + hi) / 2
+        d, above = Decimal(1), False
+        for j, aj in enumerate(a):  # a negative pivot of mid - T: an eigenvalue above mid
+            d = mid - aj - (b2[j - 1] / d if j else 0)
+            d = d or tiny
+            above = above or d < 0
+        lo, hi = (mid, hi) if above else (lo, mid)
+    return (lo + hi) / 2
+
+
+def _decimal_last_entry2(a, b2, theta):
+    """y_m**2 of the unit eigenvector of an unreduced tridiagonal block for its eigenvalue theta."""
+    m = len(a)
+    d, e = [theta - a[0]], [theta - a[-1]]
+    for j in range(1, m):
+        d.append(theta - a[j] - b2[j - 1] / d[-1])
+        e.insert(0, theta - a[m - 1 - j] - b2[m - 1 - j] / e[0])
+    r = min(range(m), key=lambda j: (d[j] + e[j] - (theta - a[j])).copy_abs())
+    z2 = [Decimal(0)] * m
+    z2[r] = Decimal(1)
+    for j in range(r - 1, -1, -1):
+        z2[j] = z2[j + 1] * b2[j] / (d[j] * d[j])
+    for j in range(r + 1, m):
+        z2[j] = z2[j - 1] * b2[j - 1] / (e[j] * e[j])
+    return z2[-1] / sum(z2)
 
 def gamma2_tail(t):
     """Survival function of Gamma(2, 1): P(X > t) = (1 + t) exp(-t)."""

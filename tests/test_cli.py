@@ -359,12 +359,15 @@ SUBNORMAL = "1e-310\n2.0\n"
         (["verify", "--mode", "exact", "--beta", "2", "--p", "2", "--n", "3",
           "--spectrum", "{spectrum}", "--count", "50", "--seed", "1",
           "--ks-threshold", "-1"], TWO),
+        # one sample gives no histogram
+        (["verify", "--mode", "exact", "--beta", "2", "--p", "2", "--n", "3",
+          "--spectrum", "{spectrum}", "--count", "1", "--seed", "1"], TWO),
     ],
     ids=["micro-gamma-40", "verify-micro-n-91", "micro-u-max-inf", "exact-t-max-inf",
          "micro-u-1e6", "exact-coefficient-overflow", "exact-subnormal-eigenvalue",
          "verify-micro-subnormal-eigenvalue", "exact-e-k-underflow",
          "verify-e-k-underflow", "verify-ks-threshold-nan",
-         "verify-ks-threshold-negative"],
+         "verify-ks-threshold-negative", "verify-count-1"],
 )
 def test_rejected_input_exits_2(argv, spectrum_text, tmp_path, capsys):
     spectrum = tmp_path / "spectrum.txt"
@@ -374,3 +377,26 @@ def test_rejected_input_exits_2(argv, spectrum_text, tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--beta", "2", "--p", "2", "--n", "3", "--spectrum", "{spectrum}",
+         "--t-max", "1", "--t-steps", "3"],
+        ["micro", "--beta", "2", "--gamma", "2", "--u-steps", "3"],
+        ["sample", "--beta", "2", "--p", "2", "--n", "3", "--spectrum", "{spectrum}",
+         "--count", "50", "--seed", "1"],
+        ["verify", "--mode", "exact", "--beta", "2", "--p", "2", "--n", "3",
+         "--spectrum", "{spectrum}", "--count", "50", "--seed", "1"],
+    ],
+    ids=["exact", "micro", "sample", "verify"],
+)
+def test_out_in_missing_directory_exits_2(argv, tmp_path, capsys):
+    spectrum = tmp_path / "spectrum.txt"
+    spectrum.write_text(TWO)
+    missing = tmp_path / "missing"
+    argv = [a.format(spectrum=spectrum) for a in argv] + ["--out", str(missing / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert not missing.exists()

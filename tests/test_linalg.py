@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from wishartmin.linalg import (
+    RITZ_RTOL,
     SignedLogMatrix,
+    _ritz_step,
     logdet_lu,
     smallest_singular_value,
     sqrt_det_antisymmetric,
 )
 from wishartmin.numerics import SLOG_ZERO, signedlog_from_float, signedlog_to_float
 
+from conftest import BENCH10_SPECTRUM
 from oracles import (
     cofactor_det,
     decimal_smallest_singular_value_2x2,
+    decimal_tridiagonal_top,
     hermitian_smallest_eigenvalue,
     jacobi_smallest_eigenvalue,
     pfaffian_recursive,
@@ -169,11 +173,22 @@ class TestSmallestSingularValue:
         assert not t.flags.c_contiguous
         assert smallest_singular_value(t) == smallest_singular_value(t.copy())
 
-    def test_stack_matches_each_matrix(self):
-        rng = np.random.default_rng(3)
-        t = np.tril(rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4)))
+    @pytest.mark.parametrize("case", ["complex-p4", "bench10-p10"])
+    def test_stack_matches_each_matrix(self, case):
+        if case == "complex-p4":
+            rng = np.random.default_rng(3)
+            t = np.tril(rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4)))
+        else:
+            # 60 Bartlett factors Lambda^(1/2) L at beta=1, n=21; they leave the
+            # Lanczos iteration at steps 8 to 10, so at each of those steps
+            # only part of the stack reaches the eigensolve
+            rng = np.random.default_rng(8)
+            p = len(BENCH10_SPECTRUM)
+            low = np.tril(rng.standard_normal((60, p, p)), -1)
+            low[:, np.arange(p), np.arange(p)] = np.sqrt(rng.chisquare(21 - np.arange(p), size=(60, p)))
+            t = np.sqrt(np.array(BENCH10_SPECTRUM))[:, None] * low
         s = smallest_singular_value(t)
-        assert s.shape == (6,)
+        assert s.shape == (len(t),)
         assert s.tolist() == [smallest_singular_value(m) for m in t]
 
     @pytest.mark.parametrize("p", [1, 2, 10, 33, 200])
@@ -242,3 +257,73 @@ class TestSmallestSingularValue:
     def test_rejects_non_finite_in_stack(self):
         with pytest.raises(ValueError):
             smallest_singular_value(np.array([[[1.0]], [[1j * math.inf]]]))
+
+
+def _tridiagonal(alpha, beta2):
+    """The symmetric tridiagonal matrix with diagonal alpha and off-diagonals sqrt(beta2)."""
+    beta = np.sqrt(beta2)
+    return np.diag(alpha) + np.diag(beta, -1) + np.diag(beta, 1)
+
+
+def _ritz_cases(m, rng, k=50):
+    """k PSD tridiagonal T_m, their top y_m**2 and the norm2 and bound _ritz_step takes.
+
+    The off-diagonals span six decades, and norm2 puts the residual of the
+    top Ritz pair a factor 10**(0.3 .. 2) above or below the RITZ_RTOL
+    bound, or at zero.  Matrix 0 has a zero beta; matrix 1 is two copies of
+    one block (and a zero row when m is odd), so its top eigenvalue is double.
+    """
+    beta2 = (rng.uniform(0.0, 1.0, (m - 1, k)) * 10.0 ** rng.uniform(-6.0, 0.0, (m - 1, k))) ** 2
+    beta = np.sqrt(beta2)
+    alpha = rng.uniform(0.0, 2.0, (m, k))
+    alpha[:-1] += beta
+    alpha[1:] += beta  # diagonally dominant, so positive semidefinite
+    if m > 1:
+        beta2[rng.integers(m - 1), 0] = 0.0
+        h = m // 2
+        alpha[h : 2 * h, 1] = alpha[:h, 1]
+        beta2[h : 2 * h - 1, 1] = beta2[: h - 1, 1]
+        beta2[h - 1, 1] = 0.0
+        if m % 2:
+            alpha[m - 1, 1] = beta2[m - 2, 1] = 0.0
+    top = np.array([decimal_tridiagonal_top(alpha[:, i], beta2[:, i]) for i in range(k)])
+    factor = 10.0 ** (rng.choice([-1.0, 1.0], k) * rng.uniform(0.3, 2.0, k))
+    norm2 = (factor * RITZ_RTOL * top[:, 0]) ** 2 / np.maximum(top[:, 1], 1e-300)
+    norm2[rng.choice(k, 3, replace=False)] = 0.0
+    if m == 1:
+        return alpha, beta2, norm2, None, top[:, 1]
+    prev = [decimal_tridiagonal_top(alpha[:-1, i], beta2[:-1, i])[0] for i in range(k)]
+    # the tight bound that the iteration carries, or a loose one
+    bound = np.array(prev) * np.where(np.arange(k) % 2, 1.0 + 2.0**-50, 1.5)
+    return alpha, beta2, norm2, bound, top[:, 1]
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_ritz_step_against_decimal_eigenvector(m, monkeypatch):
+    # a reported convergence holds for the exact eigenvector, and every
+    # matrix that the screen keeps from the eigensolve has not converged
+    alpha, beta2, norm2, prev_bound, last2 = _ritz_cases(m, np.random.default_rng(100 + m))
+    solved = set()
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(t):
+        solved.update(tuple(np.diagonal(x)) for x in t)
+        return eigvalsh(t)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", spy)
+        theta, bound, conv = _ritz_step(alpha, beta2, norm2, prev_bound)
+    skipped = 0
+    for i in range(alpha.shape[1]):
+        top = eigvalsh(_tridiagonal(alpha[:, i], beta2[:, i]))[-1]
+        residual = math.sqrt(norm2[i] * last2[i])
+        assert bound[i] >= top
+        if conv[i]:
+            assert theta[i] == top
+            # a double top eigenvalue has an eigenvector with y_m = 0
+            assert residual <= RITZ_RTOL * top or (m > 1 and i == 1)
+        elif tuple(alpha[:, i]) not in solved:
+            skipped += 1
+            assert residual > RITZ_RTOL * top
+    assert np.all(conv[norm2 == 0.0])
+    assert np.count_nonzero(conv) > 3 and skipped > 0
