@@ -5,28 +5,28 @@ probability that every eigenvalue of W W^dag exceeds t is
 
     E(t) = exp(-t * tr(beta/(2*lam))) / det(lam)^gamma * det^(beta/2)[Q_ij(t)]
 
-with a kernel matrix of dimension 2*gamma/beta whose entries are finite
-polynomials in t,
+with a kernel matrix of dimension 2*gamma/beta whose entries depend on i
+and j only through s = i + j and a weight,
 
-    Q_ij(t) = q_ij * sum_{k=0}^{min(p, a_ij)} e_k(lam) * t^(p-k) / (a_ij - k)!,
+    Q_ij(t) = q_ij * f_{i+j}(t),  f_s(t) = sum_{k=0}^{min(p, a_s)} e_k(lam) t^(p-k) / (a_s - k)!,
 
-where a_ij = p + 2*(gamma+1)/beta - i - j (entries with a_ij < 0 vanish;
-the a_ij = 0 entry keeps its finite k = 0 term), e_k are the elementary
-symmetric polynomials and q_ij = (j-i)*(-1)^(i+j) for beta=1 and (-1)^(i+1)
-for beta=2.  By Jacobi's formula the density of the smallest eigenvalue is
+where a_s = p + 2*(gamma+1)/beta - s (f_s = 0 for a_s < 0; a_s = 0 keeps
+its k = 0 term), e_k are the elementary symmetric polynomials and q_ij =
+(j-i)*(-1)^(i+j) for beta=1 and (-1)^(i+1) for beta=2; linalg.hankel_kernel
+drops the (-1)^(i+j), which changes no determinant.  By Jacobi's formula the
+density of the smallest eigenvalue is
 
     P(t) = -dE/dt = E(t) * (r - (beta/2) * tr(Q(t)^-1 Q'(t))),
 
-with r = tr(beta/(2*lam)) and Q' the term-wise t-derivative of the kernel:
-one small linear solve per point.
+with r = tr(beta/(2*lam)) and Q' the term-wise t-derivative of the kernel.
 
-The coefficients of Q and Q' are built once, in one array pass, as float
-mantissas with separate binary exponents (kernel_coefficients).  One grid
-engine evaluates them by Horner's rule in that form, scales each row by
-its largest entry and hands the whole stack to one batched determinant
-and one batched solve; t = 0 reads the constant coefficients directly.
-The scalar gap and density, and the value of a single KernelPolynomial,
-are 1-point calls into that engine.
+The coefficients of the 2*dim - 1 polynomials f_s and of their derivatives
+are built once, in one array pass, as float mantissas with separate binary
+exponents (kernel_coefficients).  The grid engine evaluates them by Horner's
+rule in that form; linalg.jacobi_gap_density assembles Q and Q' from the
+values for one batched determinant and one batched solve.  t = 0 reads the
+constant coefficients directly.  The scalar gap and density, and the value
+of a single KernelPolynomial, are 1-point calls into that engine.
 """
 
 from __future__ import annotations
@@ -55,50 +55,34 @@ __all__ = [
 
 
 def kernel_coefficients(spectrum: EmpiricalSpectrum, config: EnsembleConfig):
-    """Coefficients of the nonzero kernel entries Q_ij and of their t-derivatives.
+    """Coefficients of the polynomials f_s, s = 2..2*kernel_dim, and of their t-derivatives.
 
-    Returns ((rows, cols), mant, expo): the 0-based positions of the entries
-    with q_ij != 0 and a_ij >= 0 in row-major order, and (2 * entries, p + 1)
-    arrays of float mantissas and binary exponents.  Column c multiplies
-    t^(p-c); the first ``entries`` rows are Q, the rest Q'.  A coefficient
-    is frexp(q_ij e_k) times the mantissa inverse 1 / m_f of the float
-    factorial (a_ij - k)! = m_f 2^e_f, renormalized, with the exponents
-    summed.  Zero coefficients, past the cutoff k > a_ij or from an e_k
-    that underflowed, carry exponent ZERO_EXP.
+    Returns (mant, expo), (2 * (2*kernel_dim - 1), p + 1) arrays of float
+    mantissas and binary exponents.  Column c multiplies t^(p-c); row s - 2
+    is f_s and row 2*kernel_dim - 3 + s its derivative.  A coefficient is
+    frexp(e_k) times the mantissa inverse 1 / m_f of the float factorial
+    (a_s - k)! = m_f 2^e_f, renormalized, with the exponents summed.  Zero
+    coefficients, past the cutoff k > a_s, carry exponent ZERO_EXP.
     """
     if spectrum.p != config.p:
         raise ValueError(f"spectrum has p={spectrum.p} but config expects p={config.p}")
     p, dim = config.p, config.kernel_dim
-    i, j = np.ogrid[1:dim + 1, 1:dim + 1]
-    if config.beta == 1:
-        q = (j - i) * (-1) ** (i + j)
-    else:
-        q = np.broadcast_to((-1) ** (i + 1), (dim, dim))
-    a = p + 2 * (config.gamma + 1) // config.beta - i - j
-    rows, cols = np.nonzero((q != 0) & (a >= 0))
-    q, a = q[rows, cols, None], a[rows, cols, None]
+    a = p + 2 * (config.gamma + 1) // config.beta - np.arange(2, 2 * dim + 1)[:, None]
     k = np.arange(p + 1)
     kept = k <= a
-    with np.errstate(over="ignore"):  # reported below
-        qe = q * np.array(elementary_symmetric(spectrum))
-    if not np.isfinite(qe[kept]).all():
-        raise OverflowError("kernel coefficients overflow double precision for this spectrum")
     fact_mant, fact_exp = _factorials(int(a.max(initial=0)))
     inv_mant, inv_exp = np.frexp(1.0 / fact_mant)
     top = np.where(kept, a - k, 0)
-    qm, qx = np.frexp(qe)
-    cm, cx = np.frexp(qm * inv_mant[top])
-    cx = cx + qx + inv_exp[top] - fact_exp[top]
-    nonzero = kept & (qe != 0.0)  # e_k underflows for tiny spectra
-    cm = np.where(nonzero, cm, 0.0)
-    cx = np.where(nonzero, cx, ZERO_EXP).astype(np.int32)
-    entries = len(rows)
-    mant = np.zeros((2 * entries, p + 1))
-    expo = np.full((2 * entries, p + 1), ZERO_EXP, dtype=np.int32)
-    mant[:entries], expo[:entries] = cm, cx
-    mant[entries:, 1:] = cm[:, :-1] * (p - k[:-1])  # (p-k) c_k t^(p-k-1)
-    expo[entries:, 1:] = cx[:, :-1]
-    return (rows, cols), mant, expo
+    em, ex = np.frexp(elementary_symmetric(spectrum))
+    cm, cx = np.frexp(em * inv_mant[top])
+    cm = np.where(kept, cm, 0.0)
+    cx = np.where(kept, cx + ex + inv_exp[top] - fact_exp[top], ZERO_EXP).astype(np.int32)
+    mant = np.zeros((2 * len(a), p + 1))
+    expo = np.full((2 * len(a), p + 1), ZERO_EXP, dtype=np.int32)
+    mant[:len(a)], expo[:len(a)] = cm, cx
+    mant[len(a):, 1:] = cm[:, :-1] * (p - k[:-1])  # (p-k) c_k t^(p-k-1)
+    expo[len(a):, 1:] = cx[:, :-1]
+    return mant, expo
 
 
 def _factorials(top: int):
@@ -123,16 +107,14 @@ def _factorials(top: int):
 
 @dataclass(frozen=True, slots=True)
 class KernelPolynomial:
-    """One kernel entry Q_ij as a view of its row of ``kernel_coefficients``.
+    """One polynomial f_s as a view of its row of ``kernel_coefficients``.
 
-    ``i`` and ``j`` are the entry's 0-based position; ``mant``/``expo`` are
-    its coefficient mantissas and exponents, highest power t^p first.  The
-    law never builds one: the view exists so the traced benchmark can time
-    ``evaluate`` by name.
+    ``mant``/``expo`` are its coefficient mantissas and exponents, highest
+    power t^p first.  The law never builds one: the view exists so the
+    traced benchmark can time ``evaluate`` by name.
     """
 
-    i: int
-    j: int
+    s: int
     mant: np.ndarray
     expo: np.ndarray
 
@@ -143,7 +125,7 @@ class KernelPolynomial:
         return SignedLog(int(np.sign(m)), abs(m), int(ae[0, 0]))
 
 
-# grid points evaluated together: bounds the (points x kernel entries) arrays
+# grid points evaluated together: bounds the (points x polynomials) arrays
 GRID_BLOCK = 256
 
 
@@ -157,7 +139,7 @@ class DensityResult:
 class ExactLaw:
     """Prebuilt kernel coefficients for one (spectrum, config) pair.
 
-    Building them is O(kernel_dim^2 * p); evaluations afterwards are pure
+    Building them is O(kernel_dim * p); evaluations afterwards are pure
     and safe to share across threads.
     """
 
@@ -166,9 +148,7 @@ class ExactLaw:
         self.config = config
         self.trace_rate = inverse_trace_half_beta(spectrum, config)
         self.log_det_lambda = math.fsum(math.log(v) for v in spectrum.lambdas)
-        self._entry_index, self._coeff_mant, self._coeff_exp = kernel_coefficients(
-            spectrum, config
-        )
+        self._coeff_mant, self._coeff_exp = kernel_coefficients(spectrum, config)
 
     def gap(self, t: float) -> float:
         """Gap probability E(t), 1 at t = 0 and decaying to 0: a 1-point gap_grid."""
@@ -204,9 +184,6 @@ class ExactLaw:
         if np.any(~np.isfinite(ts)) or np.any(ts < 0):
             raise ValueError("t values must be non-negative and finite")
         log_pref = -self.trace_rate * ts - self.config.gamma * self.log_det_lambda
-        if self.config.kernel_dim == 0:
-            gap = np.exp(log_pref)
-            return gap, self.trace_rate * gap
         gap = np.empty(ts.size)
         density = np.empty(ts.size) if derivative else None
         for start in range(0, ts.size, GRID_BLOCK):
@@ -217,20 +194,12 @@ class ExactLaw:
         return gap, density
 
     def _block(self, ts, log_pref, derivative: bool):
-        """(gap, density) of one block of grid points, from stacked Q and Q'."""
-        rows, cols = self._entry_index
-        entries = len(rows)
-        used = 2 * entries if derivative else entries
-        mant, expo = _horner(self._coeff_mant[:used], self._coeff_exp[:used], ts)
-        dim = self.config.kernel_dim
-        stacks = []
-        for start in range(0, used, entries):  # Q, then Q'
-            m = np.zeros((ts.size, dim, dim))
-            e = np.full((ts.size, dim, dim), ZERO_EXP, dtype=np.int32)
-            m[:, rows, cols] = mant[:, start:start + entries]
-            e[:, rows, cols] = expo[:, start:start + entries]
-            stacks += [m, e]
-        return jacobi_gap_density(log_pref, self.trace_rate, 0.5 * self.config.beta, *stacks)
+        """(gap, density) of one block of grid points, from f_s and f_s' at each point."""
+        f = len(self._coeff_mant) // 2
+        rows = slice(None) if derivative else slice(f)
+        mant, expo = _horner(self._coeff_mant[rows], self._coeff_exp[rows], ts)
+        values = (mant[:, :f], expo[:, :f]) + ((mant[:, f:], expo[:, f:]) if derivative else ())
+        return jacobi_gap_density(log_pref, self.trace_rate, self.config.beta, *values)
 
 
 def _horner(cm, ce, ts):

@@ -1,12 +1,13 @@
 """Dense matrix kernels: the batched gap/density engine and smallest singular values.
 
 Kernel matrices are tiny (dimension 2*gamma/beta, rarely above ~30) but their
-entries span enormous ranges.  Both laws hand this module a whole grid of
-kernels as float mantissas with separate binary exponents; each row is
-scaled by its largest exponent and the stack goes through one batched
-LAPACK determinant and one batched solve.  The determinant of a single
-SignedLogMatrix is the same row-scaled determinant of a 1-matrix stack,
-after an integer shift of each column.
+entries span enormous ranges.  Both laws' kernels are Hankel in form,
+Q_ij = w_ij * F_{i+j}, and each law hands this module only the values F_s
+on a whole grid, as float mantissas with separate binary exponents.
+hankel_kernel assembles Q and Q', each row is scaled by its largest exponent
+and the stack goes through one batched LAPACK determinant and one batched
+solve.  The determinant of a single SignedLogMatrix is the same row-scaled
+determinant of a 1-matrix stack, after an integer shift of each column.
 
 The sampler hands over no data matrix W, only the p x p lower-triangular
 factor T = Lambda^(1/2) L of its LQ decomposition, which has the same
@@ -34,6 +35,7 @@ __all__ = [
     "logdet_lu",
     "sqrt_det_antisymmetric",
     "ZERO_EXP",
+    "hankel_kernel",
     "jacobi_gap_density",
     "smallest_singular_value",
 ]
@@ -152,22 +154,35 @@ def _row_scaled_slogdet(mant, expo):
     determinant is sign * exp(logabs) * 2**top.sum(axis=(1, 2)).  Returns
     (sign, logabs, top, scaled stack).
     """
-    top = expo.max(axis=2, keepdims=True)
+    top = expo.max(axis=2, keepdims=True, initial=ZERO_EXP)
     scaled = np.ldexp(mant, expo - top)
     sign, logabs = np.linalg.slogdet(scaled)
     return sign, logabs, top, scaled
 
 
-def jacobi_gap_density(log_pref, rate, power, mant, expo, dmant=None, dexpo=None):
-    """Gap exp(log_pref) * det(Q)^power and density -d(gap)/dt on a stack of kernels.
+def hankel_kernel(beta, mant, expo):
+    """Q_ij = w_ij * F_{i+j}, shape (n, d, d), from F_s in column s - 2 of (n, 2d - 1) arrays.
 
-    ``mant`` and ``expo`` hold Q = mant * 2**expo entrywise, shape (n, d, d),
-    and ``dmant``/``dexpo`` its entrywise derivative Q' in the same form;
-    zero entries carry exponent ``ZERO_EXP``.  Every row of Q and Q' is
+    w_ij = (-1)^(i+1) for beta=2.  For beta=1, w_ij = j - i leaves out the
+    paper's (-1)^(i+j): that gives D Q D with D = diag((-1)^i), which has
+    the same det and tr(Q^-1 Q').  Zero-weight entries get exponent ZERO_EXP.
+    """
+    dim = (mant.shape[1] + 1) // 2
+    i, j = np.ogrid[1:dim + 1, 1:dim + 1]
+    weight = j - i if beta == 1 else (-1) ** (i + 1)
+    s = i + j - 2
+    return weight * mant[:, s], np.where(weight != 0, expo[:, s], ZERO_EXP)
+
+
+def jacobi_gap_density(log_pref, rate, beta, mant, expo, dmant=None, dexpo=None):
+    """Gap exp(log_pref) * det(Q)^(beta/2) and density -d(gap)/dt on a grid of kernels.
+
+    ``mant``/``expo`` hold the anti-diagonal values of Q as hankel_kernel
+    takes them, ``dmant``/``dexpo`` those of Q'.  Every row of Q and Q' is
     scaled by the largest exponent in that row of Q, which leaves
     tr(Q^-1 Q') unchanged, so Jacobi's formula gives the density as
 
-        gap * (rate - power * tr(Q^-1 Q')),
+        gap * (rate - (beta/2) * tr(Q^-1 Q')),
 
     one batched solve for the whole stack.  Points whose determinant is not
     positive get gap 0; a negative density from cancellation where the gap
@@ -175,18 +190,19 @@ def jacobi_gap_density(log_pref, rate, power, mant, expo, dmant=None, dexpo=None
     density None when no derivative is given.  Every point is computed
     independently, so an element does not depend on the rest of the stack.
     """
-    sign, logabs, top, scaled = _row_scaled_slogdet(mant, expo)
+    sign, logabs, top, scaled = _row_scaled_slogdet(*hankel_kernel(beta, mant, expo))
     ok = sign > 0
     log_det = logabs[ok] + _LN2 * top[ok, :, 0].sum(axis=1)
     gap = np.zeros(mant.shape[0])
-    gap[ok] = np.exp(log_pref[ok] + power * log_det)
+    gap[ok] = np.exp(log_pref[ok] + 0.5 * beta * log_det)
     if dmant is None:
         return gap, None
-    sol = np.linalg.solve(scaled[ok], np.ldexp(dmant[ok], dexpo[ok] - top[ok]))
+    dmant, dexpo = hankel_kernel(beta, dmant[ok], dexpo[ok])
+    sol = np.linalg.solve(scaled[ok], np.ldexp(dmant, dexpo - top[ok]))
     trace = np.zeros(mant.shape[0])
-    for i in range(mant.shape[1]):  # a fixed summation order, whatever the stack size
+    for i in range(scaled.shape[1]):  # a fixed summation order, whatever the stack size
         trace[ok] += sol[:, i, i]
-    density = gap * (rate - power * trace)
+    density = gap * (rate - 0.5 * beta * trace)
     return gap, np.where(density > 0.0, density, 0.0)
 
 

@@ -19,10 +19,11 @@ kernel times 1/4 and Jacobi's formula gives the density
 
     pmin(u) = -d(gap)/du = gap(u) * (beta/8 - (beta/2) * tr(Q^-1 Q')).
 
-Both are evaluated on a whole u grid at once: one vectorized series for
-every order (numerics.bessel_series), one batched determinant and one
-batched solve.  Verified
-against central differences of gap(u), against the rescaled exact
+This module computes only the anti-diagonal values F_{kp-s}, s = i + j (and
+F_{kp-s+1}/4 for Q'), on a whole u grid at once with one vectorized series
+for every order (numerics.bessel_series); linalg.jacobi_gap_density
+assembles Q and Q' for one batched determinant and one batched solve.
+Verified against central differences of gap(u), against the rescaled exact
 finite-p law and against a high-precision oracle.
 """
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ZERO_EXP, jacobi_gap_density
+from .linalg import jacobi_gap_density
 from .linalg import logdet_lu, sqrt_det_antisymmetric  # noqa: F401  wrapped by bench/tracer.py
 from .numerics import BESSEL_MAX_ORDER, bessel_series
 from .numerics import bessel_i_signedlog  # noqa: F401  wrapped by bench/tracer.py
@@ -61,7 +62,7 @@ def make_micro_config(beta: int, gamma: int) -> MicroConfig:
         raise ValueError(f"beta must be 1 or 2, got {beta}")
     if gamma < 0 or int(gamma) != gamma:
         raise ValueError(f"gamma must be a non-negative integer, got {gamma}")
-    gamma = int(gamma)
+    beta, gamma = int(beta), int(gamma)
     # highest |order| of F_nu in the density's kernels Q and Q'
     order = 2 * gamma + 1 if beta == 1 else gamma
     if order > BESSEL_MAX_ORDER:
@@ -77,15 +78,14 @@ def make_micro_config(beta: int, gamma: int) -> MicroConfig:
     )
 
 
-def _order_table(q: np.ndarray, lo: int, hi: int):
-    """F_nu(q) for nu = lo..hi as (mantissa, exponent) arrays of shape (len(q), hi-lo+1).
+def _order_table(q: np.ndarray, nus: np.ndarray):
+    """F_nu(q) for the orders ``nus`` as (mantissa, exponent) arrays, shape (len(q), len(nus)).
 
     The factor q^m of a negative order -m is carried as a separate binary
     exponent, so tiny u neither underflows nor loses relative accuracy.
     """
-    nus = np.arange(lo, hi + 1)
     m = np.abs(nus)
-    series = bessel_series(q, int(m.max()))[:, m]
+    series = bessel_series(q, int(m.max(initial=-1)))[:, m]
     qm, qe = np.frexp(q)
     neg = nus < 0
     mant, expo = np.frexp(series * np.where(neg, qm[:, None] ** m, 1.0))
@@ -105,21 +105,13 @@ def _check_u(u) -> np.ndarray:
 def _evaluate(us: np.ndarray, micro: MicroConfig, derivative: bool):
     """(gap, pmin) on a 1-d u grid; pmin is None unless ``derivative``."""
     beta, dim, kp = micro.beta, micro.kernel_dim, micro.kappa_prime
-    log_pref = -beta * us / 8.0
-    if dim == 0:
-        gap = np.exp(log_pref)
-        return gap, beta / 8.0 * gap
-    idx = np.arange(1, dim + 1)
-    i, j = idx[:, None], idx[None, :]
-    weight = (j - i) if beta == 1 else np.broadcast_to((-1) ** (i + 1), (dim, dim))
-    lo = kp - 2 * dim
-    mant, expo = _order_table(0.25 * us, lo, kp - 1 if derivative else kp - 2)
-    col = kp - i - j - lo
-    stacks = [weight * mant[:, col], np.where(weight != 0, expo[:, col], ZERO_EXP)]
+    # F_{kp-s} for s = first..2*dim: Q takes s >= 2, Q' is the kernel one order up
+    first = 1 if derivative else 2
+    mant, expo = _order_table(0.25 * us, kp - np.arange(first, 2 * dim + 1))
+    values = [mant[:, 2 - first:], expo[:, 2 - first:]]
     if derivative:
-        # Q' is the kernel one order up, times 1/4 (taken into the exponent)
-        stacks += [weight * mant[:, col + 1], np.where(weight != 0, expo[:, col + 1] - 2, ZERO_EXP)]
-    return jacobi_gap_density(log_pref, beta / 8.0, 0.5 * beta, *stacks)
+        values += [mant[:, :-1], expo[:, :-1] - 2]  # times 1/4, taken into the exponent
+    return jacobi_gap_density(-beta * us / 8.0, beta / 8.0, beta, *values)
 
 
 def micro_gap(u, micro: MicroConfig):

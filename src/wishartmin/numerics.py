@@ -4,13 +4,14 @@ The vectorized series F_m(q) = sum_k q^k / (k! (k+m)!) of the hard-edge
 kernel lives here; the scalar I_nu(x) = (x/2)**nu * F_nu(x*x/4) is a
 1-point call of it.
 
-Kernel entries mix terms like t**(p-k), symmetric polynomials of the
-spectrum and inverse factorials, which together span hundreds of orders
-of magnitude, so the laws' grid engines carry them as float mantissas with
-separate binary exponents.  A SignedLog value, sign * exp(logmag), is one
-scalar in that form, returned by the 1-point calls the traced benchmark
-wraps (``bessel_i_signedlog``, ``KernelPolynomial.evaluate`` and the
-determinants of ``linalg``).  It carries a full double mantissa next to an
+Both laws' kernels are Hankel, Q_ij = w_ij * F_{i+j}.  The anti-diagonal
+values F_s (polynomials in t with symmetric-polynomial and inverse-factorial
+coefficients, or this series) span hundreds of orders of magnitude, so the
+laws' grid engines carry them as float mantissas with separate binary
+exponents.  A SignedLog value, sign * exp(logmag), is one scalar in that
+form, returned by the 1-point calls the traced benchmark wraps
+(``bessel_i_signedlog``, ``KernelPolynomial.evaluate`` and the determinants
+of ``linalg``).  It carries a full double mantissa next to an
 unbounded binary exponent, so the relative accuracy is that of ordinary
 floats at any magnitude; a representation that stored only the rounded log
 would lose ~|logmag| * eps of relative precision, which the ill-conditioned
@@ -142,8 +143,8 @@ def bessel_series(q: np.ndarray, max_order: int) -> np.ndarray:
             # <= also stops on an overflowed sum, where term and total are inf
             if np.all(term <= 1e-17 * total):
                 break
-    # term by term F_0 is the largest sum, so it overflows first
-    finite = np.isfinite(total[:, 0])
+    # term by term F_0 is the largest sum, so it overflows first (max_order -1: no sums)
+    finite = np.isfinite(total[:, :1]).all(axis=1)
     if not finite.all():
         raise ValueError(f"hard-edge series overflows at u = {float(4.0 * q[~finite][0])}")
     return total / np.array([float(math.factorial(m)) for m in orders])

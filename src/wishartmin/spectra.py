@@ -70,7 +70,7 @@ def make_config(beta: int, p: int, n: int) -> EnsembleConfig:
         raise ValueError(f"beta must be 1 or 2, got {beta}")
     if not (float(p).is_integer() and float(n).is_integer()):
         raise ValueError(f"p and n must be integers, got p={p}, n={n}")
-    p, n = int(p), int(n)
+    beta, p, n = int(beta), int(p), int(n)
     if p < 1:
         raise ValueError(f"p must be at least 1, got {p}")
     if n < p:

@@ -63,6 +63,8 @@ def ks_statistic(sorted_samples, cdf_values, alpha: float = 0.01, threshold=None
     xs = np.asarray(sorted_samples, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("need a non-empty 1-d sample array")
+    if not np.isfinite(xs).all():
+        raise ValueError("samples must be finite")
     if np.any(np.diff(xs) < 0):
         raise ValueError("samples must be sorted ascending")
     if threshold is None:
@@ -74,8 +76,8 @@ def ks_statistic(sorted_samples, cdf_values, alpha: float = 0.01, threshold=None
     fs = np.asarray(cdf_values, dtype=float)
     if fs.shape != xs.shape:
         raise ValueError(f"need one cdf value per sample, got shape {fs.shape} for {xs.shape}")
-    if np.any(fs < -1e-12) or np.any(fs > 1 + 1e-12):
-        raise ValueError("cdf values must lie in [0, 1]")
+    if not np.all((fs >= -1e-12) & (fs <= 1 + 1e-12)):  # NaN fails both
+        raise ValueError("cdf values must be finite and lie in [0, 1]")
     n = xs.size
     i = np.arange(1, n + 1)
     d = max(np.max(np.abs(i / n - fs)), np.max(np.abs((i - 1) / n - fs)))

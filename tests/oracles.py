@@ -204,6 +204,72 @@ def _decimal_last_entry2(a, b2, theta):
         z2[j] = z2[j - 1] * b2[j - 1] / (e[j] * e[j])
     return z2[-1] / sum(z2)
 
+def fraction_kernel(lams, beta, n, t):
+    """Q(t) and Q'(t) of the exact law in rational arithmetic, entry by entry.
+
+    The paper's per-entry formula: Q_ij = q_ij sum_{k <= min(p, a_ij)}
+    e_k t^(p-k) / (a_ij - k)!, a_ij = p + 2(gamma+1)/beta - i - j, with
+    q_ij = (j-i)(-1)^(i+j) for beta=1 and (-1)^(i+1) for beta=2; Q' term by
+    term.  Every eigenvalue and t is a float, hence an exact rational.
+    """
+    p = len(lams)
+    gamma = (n - p - 1) // 2 if beta == 1 else n - p
+    dim = 2 * gamma // beta
+    e = [Fraction(1)] + [Fraction(0)] * p
+    for lam in map(Fraction, lams):
+        for k in range(p, 0, -1):
+            e[k] += lam * e[k - 1]
+    t = Fraction(t)
+    q = [[Fraction(0)] * dim for _ in range(dim)]
+    dq = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(1, dim + 1):
+        for j in range(1, dim + 1):
+            w = (j - i) * (-1) ** (i + j) if beta == 1 else (-1) ** (i + 1)
+            a = p + 2 * (gamma + 1) // beta - i - j
+            for k in range(min(p, a) + 1):
+                c = w * e[k] / math.factorial(a - k)
+                q[i - 1][j - 1] += c * t ** (p - k)
+                if k < p:
+                    dq[i - 1][j - 1] += c * (p - k) * t ** (p - k - 1)
+    return q, dq
+
+
+def fraction_det_solve(a, b):
+    """det(a) and a^-1 b for Fraction matrices, by exact Gauss-Jordan elimination."""
+    d = len(a)
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    det = Fraction(1)
+    for c in range(d):
+        pivot = next(r for r in range(c, d) if rows[r][c] != 0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(d):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return det, [[x / rows[r][r] for x in rows[r][d:]] for r in range(d)]
+
+
+def fraction_exact_law(lams, beta, n, t):
+    """(E(t), P(t)) of the exact law with rational kernels, determinant and trace.
+
+    Only the final exp(-r t) and square root are rounded, so both values
+    are correct to a few ulps times (1 + r t).
+    """
+    p = len(lams)
+    gamma = (n - p - 1) // 2 if beta == 1 else n - p
+    q, dq = fraction_kernel(lams, beta, n, t)
+    det, x = fraction_det_solve(q, dq)
+    rate = Fraction(beta, 2) * sum(1 / Fraction(v) for v in lams)
+    # E^2 exp(2 r t) = det(Q)^beta / det(Lambda)^(2 gamma)
+    ratio = det**beta / math.prod(map(Fraction, lams)) ** (2 * gamma)
+    gap = math.exp(-float(rate * Fraction(t))) * math.sqrt(ratio)
+    trace = sum(x[i][i] for i in range(len(x)))
+    return gap, gap * float(rate - Fraction(beta, 2) * trace)
+
+
 def gamma2_tail(t):
     """Survival function of Gamma(2, 1): P(X > t) = (1 + t) exp(-t)."""
     return (1.0 + t) * math.exp(-t)

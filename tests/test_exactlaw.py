@@ -6,12 +6,18 @@ import numpy as np
 import pytest
 
 from wishartmin.exactlaw import ExactLaw, KernelPolynomial, kernel_coefficients
-from wishartmin.linalg import ZERO_EXP
+from wishartmin.linalg import ZERO_EXP, hankel_kernel
 from wishartmin.numerics import signedlog_to_float
 from wishartmin.spectra import EmpiricalSpectrum, elementary_symmetric, make_config
 
 from conftest import BENCH10_SPECTRUM
-from oracles import adaptive_quadrature, gamma2_density, gamma2_tail
+from oracles import (
+    adaptive_quadrature,
+    fraction_exact_law,
+    fraction_kernel,
+    gamma2_density,
+    gamma2_tail,
+)
 
 
 BENCH10 = EmpiricalSpectrum(BENCH10_SPECTRUM)
@@ -30,10 +36,28 @@ def exact_value(mant, expo):
 
 
 def kernel_views(spectrum, config):
-    """KernelPolynomial views of Q's nonzero entries, keyed by 0-based (i, j)."""
-    (rows, cols), mant, expo = kernel_coefficients(spectrum, config)
-    index = zip(rows.tolist(), cols.tolist())
-    return {(i, j): KernelPolynomial(i, j, mant[e], expo[e]) for e, (i, j) in enumerate(index)}
+    """KernelPolynomial views of the polynomials f_s, keyed by s = i + j (1-based i, j)."""
+    mant, expo = kernel_coefficients(spectrum, config)
+    return {s: KernelPolynomial(s, mant[s - 2], expo[s - 2]) for s in range(2, len(mant) // 2 + 2)}
+
+
+def assembled_kernels(spectrum, config, t):
+    """Q(t) and Q'(t) as the engine assembles them: two (mant, expo) pairs of shape (dim, dim)."""
+    mant, expo = kernel_coefficients(spectrum, config)
+    values = [KernelPolynomial(0, m, e).evaluate(t) for m, e in zip(mant, expo)]
+    vm = np.array([[v.sign * v.mantissa for v in values]])
+    ve = np.array([[v.exp2 if v.sign else ZERO_EXP for v in values]])
+    f = len(values) // 2
+    q = hankel_kernel(config.beta, vm[:, :f], ve[:, :f])
+    dq = hankel_kernel(config.beta, vm[:, f:], ve[:, f:])
+    return (q[0][0], q[1][0]), (dq[0][0], dq[1][0])
+
+
+def random_anti_diagonals(dim, seed):
+    """One point of random anti-diagonal values F_2..F_2dim, as (1, 2*dim - 1) arrays."""
+    rng = np.random.default_rng(seed)
+    mant = rng.uniform(0.5, 1.0, (1, 2 * dim - 1)) * rng.choice([-1.0, 1.0], (1, 2 * dim - 1))
+    return mant, rng.integers(-900, 900, (1, 2 * dim - 1))
 
 
 def random_valid_config(rng):
@@ -46,62 +70,62 @@ def random_valid_config(rng):
 
 class TestQPrefactor:
     def test_beta1_off_diagonal(self):
-        # q_12 = (2-1) * (-1)^3 = -1: every coefficient of Q_12 is negative
-        poly = kernel_views(BENCH10, CFG_BENCH10)[0, 1]
-        assert np.all(poly.mant[poly.mant != 0] < 0)
+        # w_ij = j - i: Q_ij = (j - i) F_{i+j}, exactly, with F's exponent
+        mant, expo = random_anti_diagonals(5, seed=1)
+        qm, qe = hankel_kernel(1, mant, expo)
+        for i in range(5):
+            for j in range(5):
+                assert qm[0, i, j] == (j - i) * mant[0, i + j]
+                assert qe[0, i, j] == (expo[0, i + j] if i != j else ZERO_EXP)
 
     def test_beta2_row_sign(self):
-        # q_ij = (-1)^(i+1): row 1 of Q and Q' positive, row 2 negative
+        # w_ij = (-1)^(i+1): row 1 of Q and Q' positive, row 2 negative
         cfg = make_config(2, 3, 5)  # kernel_dim 2
-        (rows, cols), mant, expo = kernel_coefficients(EmpiricalSpectrum((1.0, 2.0, 4.0)), cfg)
-        assert len(rows) == 4
-        for e, i in enumerate(np.concatenate([rows, rows])):
-            nonzero = mant[e][mant[e] != 0]
-            assert nonzero.size and np.all(np.sign(nonzero) == (-1) ** i)
+        for m, e in assembled_kernels(EmpiricalSpectrum((1.0, 2.0, 4.0)), cfg, 0.7):
+            assert m.shape == (2, 2) and np.all(e > ZERO_EXP)
+            assert np.all(m[0] > 0) and np.all(m[1] < 0)
 
 
 class TestKernelPolynomials:
     def test_simplest_complex_kernel_is_t_plus_one(self):
-        # p=1, n=2, beta=2: alpha=1, e=(1,1), q=+1, so Q11(t) = t + 1
-        poly = kernel_views(EmpiricalSpectrum((1.0,)), make_config(2, 1, 2))[0, 0]
+        # p=1, n=2, beta=2: a_2 = 1, e=(1,1), so Q11(t) = f_2(t) = t + 1
+        poly = kernel_views(EmpiricalSpectrum((1.0,)), make_config(2, 1, 2))[2]
         assert signedlog_to_float(poly.evaluate(0.0)) == pytest.approx(1.0, rel=1e-14)
         assert signedlog_to_float(poly.evaluate(1.0)) == pytest.approx(2.0, rel=1e-14)
         assert signedlog_to_float(poly.evaluate(2.5)) == pytest.approx(3.5, rel=1e-14)
 
     def test_beta1_diagonal_polynomials_are_zero(self):
-        (rows, cols), _, _ = kernel_coefficients(BENCH10, CFG_BENCH10)
-        assert len(rows) and not np.any(rows == cols)
+        off = ~np.eye(6, dtype=bool)
+        for m, e in assembled_kernels(BENCH10, make_config(1, 10, 17), 0.3):  # kernel_dim 6
+            assert np.all(np.diagonal(m) == 0) and np.all(np.diagonal(e) == ZERO_EXP)
+            assert np.all(m[off] != 0)
 
     def test_heaviside_cutoff(self):
-        # p=1, n=5, beta=2: kernel_dim 4, alpha_(i,j) = 6 - i - j < 0 for i+j > 6
+        # p=1, n=5, beta=2: kernel_dim 4, a_s = 6 - s < 0 for s > 6
         cfg = make_config(2, 1, 5)
         views = kernel_views(EmpiricalSpectrum((2.0,)), cfg)
-        assert (3, 3) not in views  # alpha = -2
-        assert (0, 0) in views
-        # alpha = 0 keeps the single k = 0 term: Q_33 = q_33 t / 0!
-        poly = views[2, 2]
+        assert sorted(views) == list(range(2, 9))
+        for s in (7, 8):
+            assert np.all(views[s].mant == 0) and np.all(views[s].expo == ZERO_EXP)
+            assert views[s].evaluate(1.5).sign == 0
+        # a_6 = 0 keeps the single k = 0 term: f_6 = t / 0!
+        poly = views[6]
         assert poly.mant[0] != 0
         assert poly.mant[1] == 0 and poly.expo[1] == ZERO_EXP
+        (qm, _), _ = assembled_kernels(EmpiricalSpectrum((2.0,)), cfg, 1.5)
+        assert qm[3, 3] == 0 and qm[2, 3] == 0 and qm[3, 2] == 0 and qm[2, 2] != 0
 
     def test_beta1_exact_negation_across_transpose(self):
-        (rows, cols), mant, expo = kernel_coefficients(BENCH10, CFG_BENCH10)
-        entries = len(rows)
-        position = {(i, j): e for e, (i, j) in enumerate(zip(rows.tolist(), cols.tolist()))}
-        for (i, j), e in position.items():
-            t = position[j, i]
-            for shift in (0, entries):  # Q, then Q'
-                assert np.array_equal(mant[shift + e], -mant[shift + t])
-                assert np.array_equal(expo[shift + e], expo[shift + t])
+        # any anti-diagonal values: w_ji = -w_ij negates exactly, exponents equal
+        mant, expo = random_anti_diagonals(6, seed=2)
+        qm, qe = hankel_kernel(1, mant, expo)
+        assert np.array_equal(qm[0], -qm[0].T) and np.array_equal(qe[0], qe[0].T)
 
     def test_beta1_assembled_matrix_antisymmetric_exactly(self):
         cfg = make_config(1, 10, 17)  # kernel_dim 6
-        views = kernel_views(BENCH10, cfg)
-        assert all(i != j for i, j in views)
         for t in (0.0, 0.08, 1.3):
-            for (i, j), poly in views.items():
-                a, b = poly.evaluate(t), views[j, i].evaluate(t)
-                assert a.sign == -b.sign
-                assert a.mantissa == b.mantissa and a.exp2 == b.exp2
+            for m, e in assembled_kernels(BENCH10, cfg, t):  # Q, then Q'
+                assert np.array_equal(m, -m.T) and np.array_equal(e, e.T)
 
     @pytest.mark.parametrize("spectrum, config", KERNEL_CASES, ids=KERNEL_IDS)
     def test_evaluate_matches_exact_rationals(self, spectrum, config):
@@ -119,32 +143,55 @@ class TestKernelPolynomials:
 
     @pytest.mark.parametrize("spectrum, config", KERNEL_CASES, ids=KERNEL_IDS)
     def test_coefficients_match_exact_arithmetic(self, spectrum, config):
-        # c_k = q_ij e_k / (a_ij - k)! from exact rationals, and (p-k) c_k in Q'
-        p, beta = config.p, config.beta
+        # c_k = e_k / (a_s - k)! from exact rationals, and (p-k) c_k in f_s'
+        p, dim = config.p, config.kernel_dim
         e_k = [Fraction(v) for v in elementary_symmetric(spectrum)]
-        (rows, cols), mant, expo = kernel_coefficients(spectrum, config)
-        entries = len(rows)
-        for e, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
-            q = (j - i) * (-1) ** (i + j) if beta == 1 else (-1) ** i  # 0-based i, j
-            a = p + 2 * (config.gamma + 1) // beta - (i + 1) - (j + 1)
+        mant, expo = kernel_coefficients(spectrum, config)
+        assert mant.shape == expo.shape == (2 * (2 * dim - 1), p + 1)
+        for s in range(2, 2 * dim + 1):
+            row, drow = s - 2, 2 * dim - 3 + s
+            a = p + 2 * (config.gamma + 1) // config.beta - s
             for k in range(p + 1):
                 if k > a:
-                    assert mant[e, k] == 0 and expo[e, k] == ZERO_EXP
+                    assert mant[row, k] == 0 and expo[row, k] == ZERO_EXP
                     continue
-                want = q * e_k[k] / math.factorial(a - k)
-                assert abs(exact_value(mant[e, k], expo[e, k]) / want - 1) < 1e-15
+                want = e_k[k] / math.factorial(a - k)
+                assert abs(exact_value(mant[row, k], expo[row, k]) / want - 1) < 1e-15
                 if k < p:
-                    got = exact_value(mant[entries + e, k + 1], expo[entries + e, k + 1])
+                    got = exact_value(mant[drow, k + 1], expo[drow, k + 1])
                     assert abs(got / ((p - k) * want) - 1) < 1e-15
+
+    @pytest.mark.parametrize("spectrum, config", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_assembled_kernel_matches_paper_entries(self, spectrum, config):
+        # Q_ij = q_ij f_{i+j} up to the D-sign (-1)^(i+j) that beta=1 drops
+        dim = config.kernel_dim
+        i, j = np.indices((dim, dim))
+        d_sign = (-1) ** (i + j) if config.beta == 1 else np.ones((dim, dim), dtype=int)
+        for t in (0.0, 0.08, 1.3):
+            want = fraction_kernel(spectrum.lambdas, config.beta, config.n, t)
+            for (m, e), exact in zip(assembled_kernels(spectrum, config, t), want):
+                for r in range(dim):
+                    for c in range(dim):
+                        got = d_sign[r, c] * exact_value(m[r, c], e[r, c])
+                        if exact[r][c] == 0:
+                            assert got == 0
+                        else:
+                            assert abs(got / exact[r][c] - 1) < 1e-13
 
     def test_spectrum_config_mismatch(self):
         with pytest.raises(ValueError):
             kernel_coefficients(EmpiricalSpectrum((1.0, 2.0)), make_config(2, 3, 4))
 
-    def test_overflowing_coefficient_raises(self):
-        # q_12 e_1 = -3e308 for beta=1, p=1, n=6 (kernel_dim 4)
-        with pytest.raises(OverflowError):
-            kernel_coefficients(EmpiricalSpectrum((1e308,)), make_config(1, 1, 6))
+    def test_huge_eigenvalue_matches_exact_oracle(self):
+        # e_1 = e_2 = 1e308: weighting the coefficients (j - i) e_k would
+        # overflow, weighting the evaluated F_{i+j} does not
+        lams = (1e308, 1.0)
+        law = ExactLaw(EmpiricalSpectrum(lams), make_config(1, 2, 7))  # kernel_dim 4
+        ts = np.geomspace(0.05, 6.0, 12)
+        for t, gap, density in zip(ts, law.gap_grid(ts), law.density_grid(ts)):
+            want_gap, want_density = fraction_exact_law(lams, 1, 7, t)
+            assert gap == pytest.approx(want_gap, rel=1e-11)
+            assert density == pytest.approx(want_density, rel=1e-11)
 
 
 class TestGapProbability:

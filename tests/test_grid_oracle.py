@@ -29,6 +29,9 @@ TWO_POINT_P200 = (1.0,) * 100 + (4.0,) * 100
 EXACT_CASES = {
     # CDF 1 - E(t) runs from 9e-6 at t=0.5 to 1 - 9e-7 at t=24
     "real-p10": (BENCH10_SPECTRUM, 1, 21, np.geomspace(0.5, 24.0, 9), 1e-8, 1e-7),
+    # kernel dimension 10 from CDF 8e-10 at t=0.1, where the density's
+    # cancellation E * (r - tr(Q^-1 Q')/2) costs ~7.5 digits, to the right tail
+    "real-p10-sweep": (BENCH10_SPECTRUM, 1, 21, np.linspace(0.1, 24.0, 60), 1e-8, 1e-6),
     "complex-p200": (TWO_POINT_P200, 2, 202, np.geomspace(4.5e-4, 0.21, 9), 1e-8, 1e-8),
 }
 

@@ -20,6 +20,12 @@ class TestMicroConfig:
         m = make_micro_config(1, 2)
         assert (m.kappa_prime, m.kernel_dim) == (6, 4)
 
+    def test_integral_float_beta_becomes_int(self):
+        m = make_micro_config(2.0, 2)
+        assert m == make_micro_config(2, 2)
+        assert type(m.kappa_prime) is int and type(m.kernel_dim) is int
+        assert micro_gap(1.0, m) == micro_gap(1.0, make_micro_config(2, 2))
+
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             make_micro_config(3, 1)
@@ -39,7 +45,8 @@ class TestMicroConfig:
 class TestMicroGap:
     def test_gamma0_is_pure_exponential(self):
         m = make_micro_config(2, 0)
-        for u in (0.5, 4.0, 30.0):
+        # no Bessel series is summed at kernel dimension 0, so u = 1e6 does not overflow
+        for u in (0.5, 4.0, 30.0, 1e6):
             assert micro_gap(u, m) == pytest.approx(math.exp(-u / 4.0), rel=1e-15)
 
     def test_beta2_gamma1_closed_form(self):

@@ -77,6 +77,13 @@ class TestMakeConfig:
         with pytest.raises(ValueError, match="integers"):
             make_config(1, 2.5, 6)
 
+    def test_integral_float_beta_becomes_int(self):
+        cfg = make_config(1.0, 10, 21)
+        assert cfg == make_config(1, 10, 21)
+        assert type(cfg.beta) is int and type(cfg.kernel_dim) is int
+        law = ExactLaw(EmpiricalSpectrum(tuple(range(1, 11))), cfg)
+        assert 0.0 < law.gap(0.5) < 1.0
+
     def test_rejects_beta1_square(self):
         # n = p gives n - p - 1 = -1
         with pytest.raises(ValueError):

@@ -79,6 +79,20 @@ class TestKsStatistic:
         with pytest.raises(ValueError):
             ks_statistic([0.5], [1.5])
 
+    @pytest.mark.parametrize(
+        "samples, cdf",
+        [
+            ([0.1, math.nan, 0.3], [0.2, 0.5, 0.9]),
+            ([0.1, 0.2, math.inf], [0.2, 0.5, 0.9]),
+            ([0.1, 0.2, 0.3], [0.2, math.nan, 0.9]),
+            ([0.1, 0.2, 0.3], [0.2, 0.5, math.inf]),
+        ],
+        ids=["nan-sample", "inf-sample", "nan-cdf", "inf-cdf"],
+    )
+    def test_rejects_non_finite(self, samples, cdf):
+        with pytest.raises(ValueError, match="finite"):
+            ks_statistic(samples, cdf)
+
     def test_rejects_cdf_shape_mismatch(self):
         with pytest.raises(ValueError, match="one cdf value per sample"):
             ks_statistic([0.2, 0.5], [0.2])
