@@ -12,14 +12,12 @@ determinant of a 1-matrix stack, after an integer shift of each column.
 The sampler hands over no data matrix W, only the p x p lower-triangular
 factor T = Lambda^(1/2) L of its LQ decomposition, which has the same
 singular values (Bartlett 1933; Edelman 1989).  sigma_min(T) is
-1 / sigma_max(T^-1): T is inverted blockwise after an exact power-of-two
-scaling, and sigma_max(T^-1)**2, the largest eigenvalue of T^-H T^-1, comes
-from a Lanczos iteration with full reorthogonalization that stops once the
-residual of its top Ritz pair is small.  A pivot pass at an interlacing
-upper bound screens out matrices that cannot have converged; for the rest,
-LAPACK's eigvalsh gives the Ritz value and a twisted factorization its
-residual.  That is zero at step p, so there is no iteration cap, and the
-path stays clear of the squared condition number of eigensolving T T^dag.
+1 / sigma_max(A) for A = T^-1, inverted blockwise after an exact
+power-of-two scaling.  sigma_max(A)**2 is the top eigenvalue of A^H A, from
+one LAPACK eigvalsh of that Gram matrix up to _INV_LEAF rows and from a
+Lanczos iteration with an eigh Ritz pair per step above.  A top eigenvalue
+keeps full relative accuracy either way, where the bottom one of T T^H
+would lose the squared condition number of T.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ ANTISYM_REL_TOL = 1e-12
 ZERO_EXP = -(1 << 29)
 
 _LN2 = math.log(2.0)
-_EPS = float(np.finfo(np.float64).eps)
 
 
 class SignedLogMatrix:
@@ -210,7 +207,8 @@ def jacobi_gap_density(log_pref, rate, beta, mant, expo, dmant=None, dexpo=None)
 # RITZ_RTOL times its Ritz value; that Ritz value is then within the same
 # relative distance of an eigenvalue of A^H A, so sigma_min within half of it
 RITZ_RTOL = 2.0 ** -45
-# diagonal blocks up to this size are inverted by one LAPACK call
+# diagonal blocks up to this size are inverted by one LAPACK call, and
+# matrices up to this size take their top eigenvalue from the Gram matrix
 _INV_LEAF = 32
 
 
@@ -222,7 +220,8 @@ def smallest_singular_value(t):
     diagonal entry is singular and gives exactly 0.  Otherwise it is scaled
     by the power of two that puts its smallest diagonal entry in [1, 2),
     inverted blockwise (``_tril_inverse``), and sigma_min is
-    1 / sqrt(lambda_max(A^H A)) for that inverse A, from ``_top_eigenvalue``,
+    1 / sqrt(lambda_max(A^H A)) for that inverse A, from ``_top_eigenvalue``
+    (one Gram-matrix eigvalsh up to ``_INV_LEAF`` rows, Lanczos above),
     which scales A once more.  Neither scaling rounds, and together they
     keep every intermediate inside double range unless A itself is not
     representable, which raises OverflowError.
@@ -297,20 +296,22 @@ def _start_vector(p):
 
 
 def _top_eigenvalue(a):
-    """lambda_max(A^H A) for each matrix A of the stack a, by Lanczos.
+    """lambda_max(A^H A) for each matrix A of the stack a.
 
     Returns (theta, f): A is scaled in place by the power of two 2**-f that
     puts its largest real or imaginary part in [1/2, 1), so that
     lambda_max(A^H A) = theta * 4**f with theta between 1/4 and 2 p**2.
+    Up to ``_INV_LEAF`` rows, theta is the top eigenvalue of the Gram matrix
+    from LAPACK's eigvalsh: its entries stay below 2 p, and a backward error
+    of a few p * eps * theta leaves theta's relative accuracy intact.
 
-    Each step applies A^H A to the newest Lanczos vector, orthogonalizes the
-    result against every earlier vector (classical Gram-Schmidt, twice) and
-    so extends the tridiagonal matrix T_m of the recurrence.  A matrix
-    leaves once the residual of the top Ritz pair of T_m is below
-    ``RITZ_RTOL`` times its Ritz value (``_ritz_step``), at step p at the
-    latest, where beta_p is zero.  Only the matrices still iterating are
-    carried on, and every step is computed matrix by matrix, so each value
-    is independent of the stack around it.
+    Above, each Lanczos step applies A^H A to the newest Lanczos vector and
+    orthogonalizes the result against every earlier one (classical
+    Gram-Schmidt, twice), which extends the tridiagonal T_m.  A matrix
+    leaves once ``_ritz_step`` finds its top Ritz pair converged, at step p
+    at the latest, where beta_p is zero.  Only the matrices still iterating
+    are carried on, and each step is computed matrix by matrix, so every
+    value is independent of the stack around it.
     """
     top = np.maximum(a.view(np.float64).max(axis=(1, 2)), -a.view(np.float64).min(axis=(1, 2)))
     if not np.all(np.isfinite(top)):
@@ -318,11 +319,13 @@ def _top_eigenvalue(a):
     f = np.frexp(top)[1]
     a *= np.ldexp(1.0, -f)[:, None, None]
     k, p, _ = a.shape
+    if p <= _INV_LEAF:
+        return np.linalg.eigvalsh(a.conj().swapaxes(1, 2) @ a)[:, -1], f
     basis = np.empty_like(a)  # row j holds Lanczos vector j
     v = np.broadcast_to(_start_vector(p).astype(a.dtype), (k, p))
     alpha = np.empty((p, k))
     beta2 = np.empty((p, k))  # beta2[j] = beta_j**2 couples rows j and j+1 of T
-    theta, bound, rows = np.empty(k), None, np.arange(k)
+    theta, rows = np.empty(k), np.arange(k)
     for j in range(p):
         basis[:, j] = v
         # A^H (A v) as the conjugate of (A v)^H A
@@ -336,93 +339,34 @@ def _top_eigenvalue(a):
         norm2 = (w.conj()[:, None, :] @ w[..., None])[:, 0, 0].real
         if j == p - 1:
             norm2[:] = 0.0
-        ritz, bound, conv = _ritz_step(alpha[: j + 1], beta2[:j], norm2, bound)
+        ritz, conv = _ritz_step(alpha[: j + 1], beta2[:j], norm2)
         if np.any(conv):
             theta[rows[conv]] = ritz[conv]
             keep = ~conv
             if not np.any(keep):
                 break
             rows, a, basis, w = rows[keep], a[keep], basis[keep], w[keep]
-            alpha, beta2, norm2, bound = alpha[:, keep], beta2[:, keep], norm2[keep], bound[keep]
+            alpha, beta2, norm2 = alpha[:, keep], beta2[:, keep], norm2[keep]
         beta2[j] = norm2
         v = w / np.sqrt(norm2)[:, None]
     return theta, f
 
 
-def _ritz_step(alpha, beta2, norm2, prev_bound):
+def _ritz_step(alpha, beta2, norm2):
     """The top Ritz value theta of each tridiagonal T_m and whether its residual is small.
 
     ``alpha`` (m, k) and ``beta2`` (m - 1, k) hold the diagonals and squared
     off-diagonals of T_m, ``norm2`` the squared beta_m of the next Lanczos
-    vector, ``prev_bound`` an upper bound on theta for T_{m-1}.  Returns
-    (theta, bound, conv): theta where conv marks a residual beta_m * |y_m| of
-    at most ``RITZ_RTOL`` * theta (or beta_m = 0), and an upper bound on it.
-
-    By interlacing, theta is below the top eigenvalue U of [[prev_bound,
-    beta_{m-1}], [beta_{m-1}, alpha_m]].  As y_m**2 only falls as x rises
-    above theta, ``_pivots`` at U bounds the residual from below and screens
-    out matrices that cannot have converged.  For the rest, LAPACK's
-    eigvalsh gives theta and ``_last_entry2`` y_m**2.
+    vector.  Returns (theta, conv), conv where beta_m is zero or the
+    residual beta_m * |y_m| of the top Ritz pair (theta, y) from LAPACK's
+    eigh is at most ``RITZ_RTOL`` * theta.  That pair is exact for T_m + E,
+    ||E|| of order m * eps * theta, so the true residual of the Ritz pair of
+    A^H A is beta_m * |y_m| to within ||E||: below RITZ_RTOL * theta for m < 128.
     """
     m, k = alpha.shape
-    if m == 1:
-        theta = alpha[0].copy()
-        return theta, theta.copy(), norm2 <= (RITZ_RTOL * theta) ** 2
-    half = 0.5 * (prev_bound - alpha[m - 1])
-    bound = (0.5 * (prev_bound + alpha[m - 1]) + np.sqrt(half * half + beta2[m - 2])) * (1.0 + 4.0 * _EPS)
-    e, _, ysum = _pivots(alpha, beta2, bound)
-    theta, conv = bound.copy(), np.zeros(k, dtype=bool)
-    cand = np.flatnonzero(~np.all(e[1:] > 0.0, axis=0) | (norm2 / ysum[0] <= (RITZ_RTOL * bound) ** 2))
-    if len(cand):
-        a, b2, res2 = alpha[:, cand], beta2[:, cand], norm2[cand]
-        t, i = np.zeros((len(cand), m, m)), np.arange(m)
-        t[:, i, i] = a.T
-        t[:, i[1:], i[:-1]] = np.sqrt(b2.T)  # eigvalsh reads the lower triangle
-        top = np.linalg.eigvalsh(t)[:, -1]
-        conv[cand] = (res2 == 0.0) | (res2 * _last_entry2(a, b2, top) <= (RITZ_RTOL * top) ** 2)
-        theta[cand] = top
-        bound[cand] = top * (1.0 + 4.0 * _EPS)
-    return theta, bound, conv
-
-
-def _pivots(alpha, beta2, x):
-    """Bottom-up pivots of x - T for each tridiagonal T of the stack.
-
-    e_m = x - alpha_m and e_j = x - alpha_j - beta_j**2 / e_{j+1}, so that
-    det(x - T) = e_1 ... e_m.  Returns the pivots e, the y_j**2 of the
-    vector with y_m = 1 and y_j = y_{j+1} e_{j+1} / beta_j, and their sums
-    from j to m, all (m, k).  Where e_2 .. e_m are positive, x is above the
-    spectrum of T without its first row and each y_j**2 a positive product.
-    """
-    m = alpha.shape[0]
-    e = x - alpha
-    y2, ysum = np.ones_like(e), np.ones_like(e)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(m - 2, -1, -1):
-            q = beta2[j] / e[j + 1]
-            e[j] -= q
-            y2[j] = y2[j + 1] * (e[j + 1] / q)
-            ysum[j] = ysum[j + 1] + y2[j]
-    return e, y2, ysum
-
-
-def _last_entry2(alpha, beta2, theta):
-    """y_m**2 of the unit eigenvector of each tridiagonal T for its eigenvalue theta.
-
-    ``_pivots`` alone is accurate only where that vector grows away from row
-    m.  So it comes from the twisted factorization of theta - T at the row r
-    of smallest |gamma_r| = |d_r + e_r - (theta - alpha_r)|: rows r .. m by
-    the bottom-up pivots e_j, rows 1 .. r by the top-down pivots d_j, both
-    run towards the peak of the vector.
-    """
-    e, y2, below = _pivots(alpha, beta2, theta)
-    d = theta - alpha
-    w = np.zeros_like(d)  # sum over i < j of y_i**2 / y_j**2, from the top
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(1, alpha.shape[0]):
-            q = beta2[j - 1] / d[j - 1]
-            w[j] = q / d[j - 1] * (1.0 + w[j - 1])
-            d[j] -= q
-        norms = below + y2 * w  # |y|**2 / y_m**2 with the twist at each row
-        r = np.argmin(np.abs(d + e - (theta - alpha)), axis=0)
-        return 1.0 / norms[r, np.arange(len(r))]
+    t, i = np.zeros((k, m, m)), np.arange(m)
+    t[:, i, i] = alpha.T
+    t[:, i[1:], i[:-1]] = np.sqrt(beta2.T)  # eigh reads the lower triangle
+    values, vectors = np.linalg.eigh(t)
+    theta = values[:, -1]
+    return theta, (norm2 == 0.0) | (norm2 * vectors[:, -1, -1] ** 2 <= (RITZ_RTOL * theta) ** 2)

@@ -60,7 +60,7 @@ def make_micro_config(beta: int, gamma: int) -> MicroConfig:
     """Hard-edge parameters for symmetry class beta and rectangularity index gamma."""
     if beta not in (1, 2):
         raise ValueError(f"beta must be 1 or 2, got {beta}")
-    if gamma < 0 or int(gamma) != gamma:
+    if not (gamma >= 0 and float(gamma).is_integer()):
         raise ValueError(f"gamma must be a non-negative integer, got {gamma}")
     beta, gamma = int(beta), int(gamma)
     # highest |order| of F_nu in the density's kernels Q and Q'

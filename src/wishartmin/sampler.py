@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -212,6 +213,11 @@ def sample_batch(
     observable is invariant, so this exists purely as a self-test of the
     eigenbasis reduction and the triangular sigma_min.
     """
+    for name, x in (("seed", seed), ("count", count)):
+        integral = isinstance(x, numbers.Integral) or (isinstance(x, numbers.Real) and float(x).is_integer())
+        if isinstance(x, bool) or not integral:
+            raise ValueError(f"{name} must be an integer, got {x!r}")
+    seed, count = int(seed), int(count)
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     p, beta = config.p, config.beta
@@ -246,7 +252,7 @@ def sample_batch(
         values=values,
         config=config,
         spectrum_hash=spectrum_hash(spectrum),
-        seed=int(seed),
+        seed=seed,
         count=count,
     )
 

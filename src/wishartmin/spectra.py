@@ -32,6 +32,8 @@ class EmpiricalSpectrum:
     lambdas: tuple
 
     def __post_init__(self):
+        if isinstance(self.lambdas, (str, bytes, bytearray)):
+            raise TypeError(f"spectrum must be a sequence of numbers, got {type(self.lambdas).__name__}")
         vals = tuple(float(v) for v in self.lambdas)
         if len(vals) < 1:
             raise ValueError("spectrum must contain at least one eigenvalue")

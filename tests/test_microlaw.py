@@ -32,6 +32,11 @@ class TestMicroConfig:
         with pytest.raises(ValueError):
             make_micro_config(2, -1)
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_rejects_non_integral_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be a non-negative integer"):
+            make_micro_config(1, gamma)
+
     def test_bessel_order_limit(self):
         # the density reads Bessel orders up to 2*gamma+1 (beta=1) or gamma (beta=2)
         make_micro_config(1, 31)

@@ -274,6 +274,22 @@ class TestSampleBatch:
             sample_batch(EmpiricalSpectrum((1.0,)), make_config(2, 1, 2), 0, seed=0)
 
     @pytest.mark.parametrize(
+        "count, seed, name",
+        [(5, 1.7, "seed"), (5, math.nan, "seed"), (5, "3", "seed"), (5, True, "seed"),
+         (2.5, 1, "count"), (True, 1, "count"), (math.inf, 1, "count")],
+    )
+    def test_rejects_non_integral_seed_and_count(self, count, seed, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sample_batch(EmpiricalSpectrum((1.0, 2.0)), make_config(2, 2, 3), count, seed)
+
+    def test_integral_floats_become_int(self):
+        spec, cfg = EmpiricalSpectrum((1.0, 2.0)), make_config(2, 2, 3)
+        batch = sample_batch(spec, cfg, 5.0, np.float64(1.0))
+        assert type(batch.seed) is int and type(batch.count) is int
+        assert batch_metadata(batch) == batch_metadata(sample_batch(spec, cfg, 5, 1))
+        assert np.array_equal(batch.values, sample_batch(spec, cfg, 5, 1).values)
+
+    @pytest.mark.parametrize(
         "values, reason",
         [([np.nan, 1.0], "finite"), ([1.0, np.inf], "finite"),
          ([-1.0, 1.0], "non-negative"), ([2.0, 1.0], "sorted")],

@@ -42,6 +42,12 @@ class TestEmpiricalSpectrum:
         with pytest.raises(ValueError):
             EmpiricalSpectrum(bad)
 
+    @pytest.mark.parametrize("text", ["123", b"123"], ids=["str", "bytes"])
+    def test_rejects_strings(self, text):
+        # iterating them would read the characters as eigenvalues
+        with pytest.raises(TypeError, match="sequence of numbers"):
+            EmpiricalSpectrum(text)
+
     def test_repeated_eigenvalues_allowed(self):
         assert EmpiricalSpectrum((2.0, 2.0, 2.0)).p == 3
 
