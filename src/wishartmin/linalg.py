@@ -13,15 +13,19 @@ The sampler hands over no data matrix W, only the p x p lower-triangular
 factor T = Lambda^(1/2) L of its LQ decomposition, which has the same
 singular values (Bartlett 1933; Edelman 1989).  sigma_min(T) is
 1 / sigma_max(A) for A = T^-1, inverted blockwise after an exact
-power-of-two scaling.  sigma_max(A)**2 is the top eigenvalue of A^H A, from
-one LAPACK eigvalsh of that Gram matrix up to _INV_LEAF rows and from a
-Lanczos iteration with an eigh Ritz pair per step above.  A top eigenvalue
-keeps full relative accuracy either way, where the bottom one of T T^H
-would lose the squared condition number of T.
+power-of-two scaling.  sigma_max(A)**2 is the top eigenvalue of A^H A.  Up
+to _GRAM_ROWS rows, a constant per dtype (64 real, 32 complex), it comes
+from one LAPACK eigvalsh of that Gram matrix, the faster path at those
+sizes, and above from a Lanczos iteration with an eigh Ritz pair per
+step.  A top eigenvalue keeps full relative accuracy either way,
+where the bottom one of T T^H would lose the squared condition number of
+T.  The input check reads the strictly upper triangle through a flat index
+built once per p.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -207,9 +211,18 @@ def jacobi_gap_density(log_pref, rate, beta, mant, expo, dmant=None, dexpo=None)
 # RITZ_RTOL times its Ritz value; that Ritz value is then within the same
 # relative distance of an eigenvalue of A^H A, so sigma_min within half of it
 RITZ_RTOL = 2.0 ** -45
-# diagonal blocks up to this size are inverted by one LAPACK call, and
-# matrices up to this size take their top eigenvalue from the Gram matrix
+# diagonal blocks up to this size are inverted by one LAPACK call
 _INV_LEAF = 32
+# matrices up to this many rows, per dtype, take their top eigenvalue from one
+# eigvalsh of the Gram matrix, and larger ones from Lanczos.  On one CPU the
+# eigvalsh takes less time than the Lanczos steps up to about 36 rows for
+# complex stacks and beyond 80 for real ones; real stacks stop at 64, where
+# its worst-case error bound (see _top_eigenvalue) is still below 5e-13
+_GRAM_ROWS = {np.dtype(np.float64): 64, np.dtype(np.complex128): 32}
+# Lanczos vectors first allocated per matrix, doubled when the iteration runs
+# longer: Bartlett factors leave it after 11 (complex) or 15 (real) steps in
+# the median, so a p-row basis would mostly stay unused
+_BASIS_ROWS = 16
 
 
 def smallest_singular_value(t):
@@ -219,9 +232,9 @@ def smallest_singular_value(t):
     array, each independent of the rest of the stack.  A matrix with a zero
     diagonal entry is singular and gives exactly 0.  Otherwise it is scaled
     by the power of two that puts its smallest diagonal entry in [1, 2),
-    inverted blockwise (``_tril_inverse``), and sigma_min is
+    inverted blockwise in place (``_tril_invert``), and sigma_min is
     1 / sqrt(lambda_max(A^H A)) for that inverse A, from ``_top_eigenvalue``
-    (one Gram-matrix eigvalsh up to ``_INV_LEAF`` rows, Lanczos above),
+    (one Gram-matrix eigvalsh up to ``_GRAM_ROWS`` rows, Lanczos above),
     which scales A once more.  Neither scaling rounds, and together they
     keep every intermediate inside double range unless A itself is not
     representable, which raises OverflowError.
@@ -232,7 +245,7 @@ def smallest_singular_value(t):
     if not np.all(np.isfinite(t)):
         raise ValueError("matrix entries must be finite")
     p = t.shape[-1]
-    if np.any(t[(..., *np.triu_indices(p, 1))]):
+    if np.any(t.reshape(-1, p * p)[:, _strict_upper(p)]):
         raise ValueError("expected lower-triangular matrices")
     dtype = np.complex128 if np.iscomplexobj(t) else np.float64
     stack = np.ascontiguousarray(t.reshape(-1, p, p), dtype=dtype)
@@ -241,9 +254,20 @@ def smallest_singular_value(t):
     live = diag > 0.0
     if np.any(live):
         e = np.frexp(diag[live])[1] - 1
-        theta, f = _top_eigenvalue(_tril_inverse(_scaled(stack if np.all(live) else stack[live], -e)))
+        a = _scaled(stack if np.all(live) else stack[live], -e)
+        _tril_invert(a, 0, p)
+        theta, f = _top_eigenvalue(a)
         values[live] = np.ldexp(1.0 / np.sqrt(theta), e - f)
     return float(values[0]) if t.ndim == 2 else values
+
+
+@functools.cache
+def _strict_upper(p):
+    """Flat indices into a p x p matrix of its strictly upper triangle (read-only, shared)."""
+    i, j = np.triu_indices(p, 1)
+    index = i * p + j
+    index.flags.writeable = False
+    return index
 
 
 def _scaled(x, exp):
@@ -258,29 +282,21 @@ def _scaled(x, exp):
     return out
 
 
-def _tril_inverse(s):
-    """Inverse of each lower-triangular matrix of the stack s.
+def _tril_invert(s, lo, hi):
+    """Overwrite the block s[:, lo:hi, lo:hi] of each lower-triangular matrix of s with its inverse.
 
-    For s = [[A, 0], [C, D]] the inverse is [[A^-1, 0], [-D^-1 C A^-1, D^-1]];
-    diagonal blocks of at most ``_INV_LEAF`` rows go to one batched LAPACK
-    inverse each, and everything above them is matrix products.
+    For a block [[A, 0], [C, D]] the inverse is [[A^-1, 0], [-D^-1 C A^-1, D^-1]]:
+    A and D are inverted in place first, and C is then replaced by the product.
+    Blocks of at most ``_INV_LEAF`` rows go to one batched LAPACK inverse
+    each, and everything above them is matrix products.
     """
-    if s.shape[-1] <= _INV_LEAF:
-        return np.linalg.inv(s)
-    inv = np.zeros_like(s)
-    _fill_inverse(s, inv, 0, s.shape[-1])
-    return inv
-
-
-def _fill_inverse(s, inv, lo, hi):
-    """Write the inverse of the diagonal block s[:, lo:hi, lo:hi] into inv's."""
     if hi - lo <= _INV_LEAF:
-        inv[:, lo:hi, lo:hi] = np.linalg.inv(s[:, lo:hi, lo:hi])
+        s[:, lo:hi, lo:hi] = np.linalg.inv(s[:, lo:hi, lo:hi])
         return
     mid = (lo + hi) // 2
-    _fill_inverse(s, inv, lo, mid)
-    _fill_inverse(s, inv, mid, hi)
-    inv[:, mid:hi, lo:mid] = -(inv[:, mid:hi, mid:hi] @ (s[:, mid:hi, lo:mid] @ inv[:, lo:mid, lo:mid]))
+    _tril_invert(s, lo, mid)
+    _tril_invert(s, mid, hi)
+    s[:, mid:hi, lo:mid] = -(s[:, mid:hi, mid:hi] @ (s[:, mid:hi, lo:mid] @ s[:, lo:mid, lo:mid]))
 
 
 def _start_vector(p):
@@ -301,9 +317,14 @@ def _top_eigenvalue(a):
     Returns (theta, f): A is scaled in place by the power of two 2**-f that
     puts its largest real or imaginary part in [1/2, 1), so that
     lambda_max(A^H A) = theta * 4**f with theta between 1/4 and 2 p**2.
-    Up to ``_INV_LEAF`` rows, theta is the top eigenvalue of the Gram matrix
-    from LAPACK's eigvalsh: its entries stay below 2 p, and a backward error
-    of a few p * eps * theta leaves theta's relative accuracy intact.
+    Up to ``_GRAM_ROWS[a.dtype]`` rows (64 real, 32 complex), theta is the
+    top eigenvalue of the Gram matrix from LAPACK's eigvalsh, whose entries
+    stay below 2 p.  Forming it perturbs it by at most p * eps * || |A| ||**2
+    <= p**2 * eps * theta, and eigvalsh adds a backward error of a few
+    p * eps * theta, so by Weyl's inequality theta keeps a relative accuracy
+    of about p**2 * eps, 4.6e-13 at 64 rows, in the worst case; roundings of
+    random sign give about sqrt(p) * eps.  A bottom eigenvalue would lose the
+    squared condition number instead.
 
     Above, each Lanczos step applies A^H A to the newest Lanczos vector and
     orthogonalizes the result against every earlier one (classical
@@ -319,14 +340,17 @@ def _top_eigenvalue(a):
     f = np.frexp(top)[1]
     a *= np.ldexp(1.0, -f)[:, None, None]
     k, p, _ = a.shape
-    if p <= _INV_LEAF:
+    if p <= _GRAM_ROWS[a.dtype]:
         return np.linalg.eigvalsh(a.conj().swapaxes(1, 2) @ a)[:, -1], f
-    basis = np.empty_like(a)  # row j holds Lanczos vector j
+    # row j holds Lanczos vector j; rows are added as the iteration needs them
+    basis = np.empty((k, min(p, _BASIS_ROWS), p), dtype=a.dtype)
     v = np.broadcast_to(_start_vector(p).astype(a.dtype), (k, p))
     alpha = np.empty((p, k))
     beta2 = np.empty((p, k))  # beta2[j] = beta_j**2 couples rows j and j+1 of T
     theta, rows = np.empty(k), np.arange(k)
     for j in range(p):
+        if j == basis.shape[1]:
+            basis = np.concatenate((basis, np.empty_like(basis)), axis=1)[:, :p]
         basis[:, j] = v
         # A^H (A v) as the conjugate of (A v)^H A
         w = ((a @ v[..., None]).conj().swapaxes(1, 2) @ a)[:, 0].conj()

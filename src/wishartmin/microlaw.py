@@ -37,7 +37,7 @@ from .linalg import jacobi_gap_density
 from .linalg import logdet_lu, sqrt_det_antisymmetric  # noqa: F401  wrapped by bench/tracer.py
 from .numerics import BESSEL_MAX_ORDER, bessel_series
 from .numerics import bessel_i_signedlog  # noqa: F401  wrapped by bench/tracer.py
-from .spectra import EmpiricalSpectrum, EnsembleConfig, eta_scale
+from .spectra import EmpiricalSpectrum, EnsembleConfig, as_integer, eta_scale
 
 __all__ = [
     "MicroConfig",
@@ -58,11 +58,12 @@ class MicroConfig:
 
 def make_micro_config(beta: int, gamma: int) -> MicroConfig:
     """Hard-edge parameters for symmetry class beta and rectangularity index gamma."""
+    beta = as_integer(beta, "beta must be 1 or 2, got {!r}")
     if beta not in (1, 2):
         raise ValueError(f"beta must be 1 or 2, got {beta}")
-    if not (gamma >= 0 and float(gamma).is_integer()):
+    gamma = as_integer(gamma, "gamma must be a non-negative integer, got {!r}")
+    if gamma < 0:
         raise ValueError(f"gamma must be a non-negative integer, got {gamma}")
-    beta, gamma = int(beta), int(gamma)
     # highest |order| of F_nu in the density's kernels Q and Q'
     order = 2 * gamma + 1 if beta == 1 else gamma
     if order > BESSEL_MAX_ORDER:

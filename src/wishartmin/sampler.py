@@ -29,21 +29,25 @@ the rotation.  No draw is rejected, so the chunks of a batch stay aligned
 with the streams: one Philox generator is re-keyed to (seed, index) for
 each sample and fills that sample's row of uniforms, and the whole chunk
 then goes through one Box-Muller transform, one ``log1p``, one segmented
-sum (``np.add.reduceat``) and one stacked sigma_min.
+sum (``np.add.reduceat``) and one stacked sigma_min.  What depends on the
+batch alone is built once per batch (``_plan``): the layout counts, the
+segment starts, the flat indices of T's strict lower triangle and
+diagonal, the odd rows and sqrt(lambda) per entry.  Once one sample needs
+more than ``CHUNK_DRAWS`` uniforms, as at p=200, a chunk holds a single
+sample, and T is all that is left to build per chunk.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import smallest_singular_value
-from .spectra import EmpiricalSpectrum, EnsembleConfig
+from .spectra import EmpiricalSpectrum, EnsembleConfig, as_integer
 
 __all__ = [
     "RngStream",
@@ -62,16 +66,22 @@ CHUNK_DRAWS = 1 << 16
 
 
 def _box_muller(u: np.ndarray) -> np.ndarray:
-    """Standard normals from a 1-d, even-length array of uniforms in [0, 1).
+    """Standard normals from uniforms in [0, 1), pairwise along the last axis.
 
-    Each consecutive pair (u1, u2) gives two deviates.  The log is applied
+    Each consecutive pair (u1, u2) of a row gives two deviates,
+    sqrt(-2 log(1 - u1)) times cos and sin of 2 pi u2.  The log is applied
     to (1 - u1), which never vanishes for u1 in [0, 1).
     """
-    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-    theta = 2.0 * math.pi * u[1::2]
+    r = np.negative(u[..., 0::2])
+    np.log1p(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = np.multiply(u[..., 1::2], 2.0 * math.pi)
+    s = np.sin(theta)
+    np.cos(theta, out=theta)
     z = np.empty(u.shape)
-    z[0::2] = r * np.cos(theta)
-    z[1::2] = r * np.sin(theta)
+    np.multiply(r, theta, out=z[..., 0::2])
+    np.multiply(r, s, out=z[..., 1::2])
     return z
 
 
@@ -81,7 +91,7 @@ class RngStream:
     __slots__ = ("seed", "stream_index", "_gen")
 
     def __init__(self, seed: int, stream_index: int = 0):
-        self.seed = int(seed)
+        self.seed = as_integer(seed, "seed must be an integer, got {!r}")
         self._gen = np.random.Generator(np.random.Philox(key=0))
         self.restart(stream_index)
 
@@ -92,7 +102,7 @@ class RngStream:
         and its counter 0.  Re-keying costs a fraction of building a new
         generator, so one stream can serve a whole batch, index by index.
         """
-        self.stream_index = int(stream_index)
+        self.stream_index = as_integer(stream_index, "stream_index must be an integer, got {!r}")
         self._gen.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {"counter": (0, 0, 0, 0),
@@ -129,40 +139,80 @@ def _layout(config: EnsembleConfig, rotate: bool):
     return normals + normals % 2, sums, rotation
 
 
-def _triangular_factors(u, spectrum: EmpiricalSpectrum, config: EnsembleConfig):
-    """Stack of T = Lambda^(1/2) L, one per row of ``u``.
+@dataclass(frozen=True)
+class _Plan:
+    """What ``_triangular_factors`` needs of a batch, built once by ``_plan``."""
 
-    Each row holds a sample's Gaussian and diagonal-sum uniforms, in the
-    order of the module docstring (the first two counts of ``_layout``).
-    """
+    beta: int
+    p: int
+    normals: int  # the three counts of ``_layout``
+    draws: int
+    rotation: int
+    rows: int  # samples per chunk
+    starts: np.ndarray  # np.add.reduceat starts of the diagonal sums of a whole chunk
+    lower: np.ndarray  # flat indices into p * p of the strictly lower triangle, row by row
+    diagonal: np.ndarray  # flat indices of the diagonal
+    odd: np.ndarray  # rows with an odd number of degrees of freedom (beta=1)
+    root: np.ndarray  # sqrt(lambda_i)
+    scale: np.ndarray  # sqrt(lambda_i) (beta=1) or sqrt(lambda_i / 2) (beta=2), per lower entry
+
+
+def _plan(spectrum: EmpiricalSpectrum, config: EnsembleConfig, count: int, rotate: bool) -> _Plan:
+    """The per-batch constants of a batch of ``count`` samples."""
     if spectrum.p != config.p:
         raise ValueError(f"spectrum has p={spectrum.p} but config expects p={config.p}")
     p, n, beta = config.p, config.n, config.beta
-    k = len(u)
-    normals, draws, _ = _layout(config, False)
-    z = _box_muller(u[:, :normals].reshape(-1)).reshape(k, normals)
-    logs = np.negative(u[:, normals : normals + draws])
-    np.log1p(logs, out=logs)
-    lam = np.asarray(spectrum.lambdas)
+    normals, draws, rotation = _layout(config, rotate)
+    rows = max(1, min(count, CHUNK_DRAWS // (normals + draws + rotation)))
     dof = n - np.arange(p)
     group = dof if beta == 2 else dof // 2
-    starts = np.concatenate(([0], np.cumsum(group)[:-1])) + draws * np.arange(k)[:, None]
-    sums = -np.add.reduceat(logs.reshape(-1), starts.reshape(-1)).reshape(k, p)
-    below = np.tri(p, k=-1, dtype=bool)
-    rows = np.nonzero(below)[0]
-    lower = len(rows)
-    if beta == 2:
+    starts = np.concatenate(([0], np.cumsum(group)[:-1])) + draws * np.arange(rows)[:, None]
+    below, col = np.tril_indices(p, -1)
+    lam = np.asarray(spectrum.lambdas)
+    return _Plan(
+        beta=beta,
+        p=p,
+        normals=normals,
+        draws=draws,
+        rotation=rotation,
+        rows=rows,
+        starts=starts.reshape(-1),
+        lower=below * p + col,
+        diagonal=np.arange(p) * (p + 1),
+        odd=np.flatnonzero(dof % 2),
+        root=np.sqrt(lam),
+        scale=(np.sqrt(0.5 * lam) if beta == 2 else np.sqrt(lam))[below],
+    )
+
+
+def _triangular_factors(u, plan: _Plan, out):
+    """Stack of T = Lambda^(1/2) L, one per row of ``u``, written into ``out``.
+
+    Each row holds a sample's Gaussian and diagonal-sum uniforms, in the
+    order of the module docstring (the first two counts of ``_layout``).
+    ``out`` holds one flat p * p matrix per row, zero above the diagonal;
+    the strict lower triangle and the diagonal are overwritten, and the
+    (k, p, p) view of ``out`` is returned.
+    """
+    p, normals, draws = plan.p, plan.normals, plan.draws
+    k = len(u)
+    z = _box_muller(u[:, :normals])
+    logs = np.negative(u[:, normals : normals + draws])
+    np.log1p(logs, out=logs)
+    sums = np.add.reduceat(logs.reshape(-1), plan.starts[: k * p]).reshape(k, p)
+    np.negative(sums, out=sums)
+    lower = len(plan.lower)
+    if plan.beta == 2:
         # consecutive Gaussians are the real and imaginary part of one entry
-        entries = z[:, : 2 * lower].view(np.complex128) * np.sqrt(0.5 * lam)[rows]
+        entries = z[:, : 2 * lower].view(np.complex128) * plan.scale
     else:
-        odd = np.flatnonzero(dof % 2)
         sums *= 2.0
-        sums[:, odd] += z[:, lower : lower + len(odd)] ** 2
-        entries = z[:, :lower] * np.sqrt(lam)[rows]
-    t = np.zeros((k, p, p), dtype=entries.dtype)
-    t[:, below] = entries
-    t[:, np.arange(p), np.arange(p)] = np.sqrt(lam) * np.sqrt(sums)
-    return t
+        sums[:, plan.odd] += z[:, lower : lower + len(plan.odd)] ** 2
+        entries = z[:, :lower] * plan.scale
+    out[:, plan.lower] = entries
+    np.sqrt(sums, out=sums)
+    out[:, plan.diagonal] = plan.root * sums
+    return out.reshape(k, p, p)
 
 
 @dataclass(frozen=True)
@@ -213,27 +263,26 @@ def sample_batch(
     observable is invariant, so this exists purely as a self-test of the
     eigenbasis reduction and the triangular sigma_min.
     """
-    for name, x in (("seed", seed), ("count", count)):
-        integral = isinstance(x, numbers.Integral) or (isinstance(x, numbers.Real) and float(x).is_integer())
-        if isinstance(x, bool) or not integral:
-            raise ValueError(f"{name} must be an integer, got {x!r}")
-    seed, count = int(seed), int(count)
+    seed = as_integer(seed, "seed must be an integer, got {!r}")
+    count = as_integer(count, "count must be an integer, got {!r}")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    p, beta = config.p, config.beta
-    normals, sums, rotation = _layout(config, rotate)
-    width = normals + sums + rotation
-    u = np.empty((max(1, min(count, CHUNK_DRAWS // width)), width))
+    plan = _plan(spectrum, config, count, rotate)
+    p, beta, head = plan.p, plan.beta, plan.normals + plan.draws
+    u = np.empty((plan.rows, head + plan.rotation))
+    # one buffer for every chunk (the factors never write above the diagonal):
+    # at p=200 a fresh 640 KB T per sample made glibc trim and re-fault the heap
+    factors = np.zeros((plan.rows, p * p), dtype=np.complex128 if beta == 2 else np.float64)
     stream = RngStream(seed)
     values = np.empty(count)
-    for start in range(0, count, len(u)):
-        chunk = u[: min(len(u), count - start)]
+    for start in range(0, count, plan.rows):
+        chunk = u[: min(plan.rows, count - start)]
         for i, row in enumerate(chunk):
             stream.restart(start + i)
             stream.uniforms(row)
-        t = _triangular_factors(chunk, spectrum, config)
+        t = _triangular_factors(chunk, plan, factors[: len(chunk)])
         if rotate:
-            g = _box_muller(chunk[:, normals + sums :].reshape(-1)).reshape(len(chunk), beta, -1)
+            g = _box_muller(chunk[:, head:]).reshape(len(chunk), beta, -1)
             q = g[:, 0, : p * p].reshape(-1, p, p)
             if beta == 2:
                 q = q + 1j * g[:, 1, : p * p].reshape(-1, p, p)

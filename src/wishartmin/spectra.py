@@ -8,6 +8,7 @@ internal reordering ever happens.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -62,17 +63,32 @@ class EnsembleConfig:
     kernel_dim: int
 
 
+def as_integer(value, message: str) -> int:
+    """``value`` as an int, or ValueError(message.format(value)) unless it is integral.
+
+    Integers and integral floats pass.  bool, strings, NaN, infinities and
+    values with a fractional part do not, so an argument is never truncated.
+    """
+    if type(value) is int:
+        return value
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, (bool, np.bool_)) or not integral:
+        raise ValueError(message.format(value))
+    return int(value)
+
+
 def make_config(beta: int, p: int, n: int) -> EnsembleConfig:
     """Validate (beta, p, n) and derive gamma and the kernel dimension.
 
     For beta=1 the rectangularity must keep gamma a non-negative integer,
     i.e. n - p - 1 must be even and >= 0; half-integer gamma is rejected.
     """
+    beta = as_integer(beta, "beta must be 1 or 2, got {!r}")
     if beta not in (1, 2):
         raise ValueError(f"beta must be 1 or 2, got {beta}")
-    if not (float(p).is_integer() and float(n).is_integer()):
-        raise ValueError(f"p and n must be integers, got p={p}, n={n}")
-    beta, p, n = int(beta), int(p), int(n)
+    p = as_integer(p, "p and n must be integers, got p={!r}")
+    n = as_integer(n, "p and n must be integers, got n={!r}")
     if p < 1:
         raise ValueError(f"p must be at least 1, got {p}")
     if n < p:

@@ -7,7 +7,7 @@ from wishartmin import linalg
 from wishartmin.linalg import (
     RITZ_RTOL,
     SignedLogMatrix,
-    _INV_LEAF,
+    _GRAM_ROWS,
     _ritz_step,
     logdet_lu,
     smallest_singular_value,
@@ -183,7 +183,7 @@ class TestSmallestSingularValue:
         assert not t.flags.c_contiguous
         assert smallest_singular_value(t) == smallest_singular_value(t.copy())
 
-    @pytest.mark.parametrize("case", ["complex-p4", "bench10-p10", "complex-p40", "bartlett-p40"])
+    @pytest.mark.parametrize("case", ["complex-p4", "bench10-p10", "complex-p40", "bartlett-p72"])
     def test_stack_matches_each_matrix(self, case):
         rng = np.random.default_rng(3)
         if case.startswith("complex"):
@@ -193,9 +193,9 @@ class TestSmallestSingularValue:
             # 60 Bartlett factors Lambda^(1/2) L at beta=1, n=21: one eigvalsh of the Gram stack
             t = bartlett_factors(np.random.default_rng(8), np.array(BENCH10_SPECTRUM), 21, 60)
         else:
-            # above _INV_LEAF, so Lanczos: the factors leave the iteration at
+            # above _GRAM_ROWS, so Lanczos: the factors leave the iteration at
             # different steps, and each step solves only the rest of the stack
-            t = bartlett_factors(rng, np.geomspace(0.5, 2.0, 40), 41, 12)
+            t = bartlett_factors(rng, np.geomspace(0.5, 2.0, 72), 73, 12)
         s = smallest_singular_value(t)
         assert s.shape == (len(t),)
         assert s.tolist() == [smallest_singular_value(m) for m in t]
@@ -215,7 +215,8 @@ class TestSmallestSingularValue:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_two_smallest_singular_values_coincide(self, dtype):
         rng = np.random.default_rng(11)
-        for p in (12, 40):
+        # the second size takes the Lanczos path
+        for p in (12, 40 if dtype is complex else 72):
             z = (dtype is complex) * 1j
             u, _ = np.linalg.qr(rng.standard_normal((p, p)) + z * rng.standard_normal((p, p)))
             v, _ = np.linalg.qr(rng.standard_normal((p, p)) + z * rng.standard_normal((p, p)))
@@ -226,15 +227,19 @@ class TestSmallestSingularValue:
             assert want[-1] == pytest.approx(want[-2], rel=1e-13)
             assert smallest_singular_value(t) == pytest.approx(want[-1], rel=1e-12)
 
-    @pytest.mark.parametrize("p", [_INV_LEAF, _INV_LEAF + 1])
-    def test_one_path_each_side_of_the_split(self, p, monkeypatch):
-        # one eigvalsh of the Gram stack up to _INV_LEAF rows, Lanczos above
+    @pytest.mark.parametrize(
+        "dtype, p", [(complex, 32), (complex, 33), (float, 64), (float, 65)],
+        ids=["complex-32", "complex-33", "float-64", "float-65"])
+    def test_one_path_each_side_of_the_split(self, dtype, p, monkeypatch):
+        # one eigvalsh of the Gram stack up to _GRAM_ROWS rows, Lanczos above
+        assert _GRAM_ROWS[np.dtype(dtype)] in (p, p - 1)
         calls = []
         eigvalsh, ritz_step = np.linalg.eigvalsh, linalg._ritz_step
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append("gram") or eigvalsh(g))
         monkeypatch.setattr(linalg, "_ritz_step", lambda *args: calls.append("ritz") or ritz_step(*args))
-        smallest_singular_value(bartlett_factors(np.random.default_rng(p), np.ones(p), p + 1, 5))
-        if p <= _INV_LEAF:
+        t = bartlett_factors(np.random.default_rng(p), np.ones(p), p + 1, 5).astype(dtype)
+        smallest_singular_value(t)
+        if p <= _GRAM_ROWS[np.dtype(dtype)]:
             assert calls == ["gram"]
         else:
             assert set(calls) == {"ritz"}
@@ -259,12 +264,15 @@ class TestSmallestSingularValue:
         t = np.sqrt(np.array(lams))[:, None] * low
         want = decimal_smallest_singular_value_2x2(t)
         assert smallest_singular_value(t) == pytest.approx(want, rel=1e-12)
-        # the same block in a p=40 block-diagonal T, whose 38x38 block
-        # I + N (||N|| < 1/2), scaled by 4 * want, has singular values above
-        # 2 * want: sigma_min is the block's, here from the Lanczos iteration
-        big = np.zeros((40, 40), dtype=t.dtype)
-        big[:38, :38] = 4.0 * want * (np.eye(38) + np.tril(rng.uniform(-1.0, 1.0, (38, 38)), -1) / 76.0)
-        big[38:, 38:] = t
+        # the same block in a block-diagonal T above _GRAM_ROWS, whose
+        # (p-2)x(p-2) block I + N (||N|| < 1/2), scaled by 4 * want, has
+        # singular values above 2 * want: sigma_min is the block's, here
+        # from the Lanczos iteration
+        p = 40 if dtype is complex else 72
+        big = np.zeros((p, p), dtype=t.dtype)
+        n = np.tril(rng.uniform(-1.0, 1.0, (p - 2, p - 2)), -1) / (2 * p - 4)
+        big[:-2, :-2] = 4.0 * want * (np.eye(p - 2) + n)
+        big[-2:, -2:] = t
         assert smallest_singular_value(big) == pytest.approx(want, rel=1e-12)
 
     def test_rejects_tall_matrix(self):
@@ -274,6 +282,17 @@ class TestSmallestSingularValue:
     def test_rejects_upper_entries(self):
         with pytest.raises(ValueError, match="lower-triangular"):
             smallest_singular_value(np.array([[1.0, 1e-300], [0.0, 1.0]]))
+
+    def test_rejects_upper_entry_after_other_sizes(self):
+        # the upper-triangle index is built once per p
+        for p in (3, 200, 7):
+            smallest_singular_value(np.eye(p))
+        t = np.eye(200, dtype=complex)
+        t[17, 151] = 1e-300j
+        with pytest.raises(ValueError, match="lower-triangular"):
+            smallest_singular_value(t)
+        with pytest.raises(ValueError, match="lower-triangular"):
+            smallest_singular_value(np.stack([np.eye(200), np.eye(200) + np.eye(200, k=199)]))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -37,6 +37,13 @@ class TestMicroConfig:
         with pytest.raises(ValueError, match="gamma must be a non-negative integer"):
             make_micro_config(1, gamma)
 
+    @pytest.mark.parametrize(
+        "beta, gamma", [(2, True), (2, "3"), (1, 2.5), (True, 2), ("1", 2)],
+        ids=["bool-gamma", "string-gamma", "fractional-gamma", "bool-beta", "string-beta"])
+    def test_rejects_bool_and_string_arguments(self, beta, gamma):
+        with pytest.raises(ValueError, match="gamma must be a non-negative integer|beta must be 1 or 2"):
+            make_micro_config(beta, gamma)
+
     def test_bessel_order_limit(self):
         # the density reads Bessel orders up to 2*gamma+1 (beta=1) or gamma (beta=2)
         make_micro_config(1, 31)

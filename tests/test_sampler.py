@@ -44,6 +44,23 @@ class TestRngStream:
         assert report.statistic < 1.63 / math.sqrt(100_000)
         assert report.passed
 
+    @pytest.mark.parametrize(
+        "seed, index", [(1.7, 2), (1, 2.9), (True, 2), (1, False), ("3", 2), (1, math.nan)],
+        ids=["fractional-seed", "fractional-index", "bool-seed", "bool-index", "string-seed", "nan-index"])
+    def test_rejects_non_integral_seed_and_index(self, seed, index):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RngStream(seed, index)
+
+    def test_restart_rejects_non_integral_index(self):
+        stream = RngStream(1, 2)
+        with pytest.raises(ValueError, match="stream_index must be an integer"):
+            stream.restart(2.9)
+
+    def test_integral_floats_are_the_integer_stream(self):
+        stream = RngStream(np.float64(1.0), 2.0)
+        assert type(stream.seed) is int and type(stream.stream_index) is int
+        assert stream.gaussians(4).tolist() == RngStream(1, 2).gaussians(4).tolist()
+
     def test_pair_consistent_with_batch(self):
         stream = RngStream(5, 9)
         z = stream.gaussians(6)
@@ -164,15 +181,17 @@ class TestSampleBatch:
         assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize(
-        "beta, lams, n",
-        [(1, BENCH10_SPECTRUM, 13), (2, (0.8, 2.0, 5.0), 4)],
-        ids=["beta1-p10-n13", "beta2-p3-n4"],
+        "beta, lams, n, count",
+        [(1, BENCH10_SPECTRUM, 13, None), (2, (0.8, 2.0, 5.0), 4, None),
+         (1, tuple(np.geomspace(0.5, 2.0, 72)), 73, None),
+         (2, (1.0,) * 100 + (4.0,) * 100, 202, 3)],
+        ids=["beta1-p10-n13", "beta2-p3-n4", "beta1-p72-n73", "beta2-p200-n202"],
     )
-    def test_streams_indexed_by_sample(self, beta, lams, n):
+    def test_streams_indexed_by_sample(self, beta, lams, n, count):
         spec = EmpiricalSpectrum(lams)
         cfg = make_config(beta, len(lams), n)
-        # two chunks and a remainder
-        count = 2 * (CHUNK_DRAWS // uniforms_per_sample(cfg)) + 7
+        # by default two chunks and a remainder; at p=200 a chunk is one sample
+        count = count or 2 * (CHUNK_DRAWS // uniforms_per_sample(cfg)) + 7
         batch = sample_batch(spec, cfg, count, seed=21)
         factors = np.stack([bartlett_factor(spec, cfg, RngStream(21, k)) for k in range(count)])
         # squared as the batch squares: one correctly rounded multiply;

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -82,6 +83,13 @@ class TestMakeConfig:
             make_config(2, 3, 4.5)
         with pytest.raises(ValueError, match="integers"):
             make_config(1, 2.5, 6)
+
+    @pytest.mark.parametrize(
+        "beta, p, n", [(2, True, 3), (2, "3", "4"), (2, 3, np.True_), (True, 3, 4), ("2", 3, 4)],
+        ids=["bool-p", "string-p-n", "numpy-bool-n", "bool-beta", "string-beta"])
+    def test_rejects_bool_and_string_arguments(self, beta, p, n):
+        with pytest.raises(ValueError, match="integers|beta must be 1 or 2"):
+            make_config(beta, p, n)
 
     def test_integral_float_beta_becomes_int(self):
         cfg = make_config(1.0, 10, 21)
