@@ -9,7 +9,11 @@ Subcommands
 Every output starts with a ``# command:`` comment holding the exact
 invocation, contains no timestamps, and is written atomically (temp file +
 rename), so identical invocations produce byte-identical files.  Exit codes:
-0 success, 1 verification failure, 2 usage or input error.
+0 success, 1 verification failure, 2 usage or input error.  ``main`` maps
+every ``CliError`` (a check of this module), ``ValueError`` (an input the
+library rejects) and ``ArithmeticError`` (an input that overflows the
+numerics) to exit 2.  ``verify`` builds its law and KS threshold before it
+draws the batch, so bad input exits before the sampling it would waste.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .microlaw import (
 )
 from .sampler import batch_csv_text, batch_metadata, sample_batch
 from .spectra import load_spectrum, make_config
-from .stats import KS_QUANTILES, build_histogram, ks_statistic
+from .stats import build_histogram, ks_statistic, ks_threshold
 
 __all__ = ["main", "build_parser"]
 
@@ -50,15 +54,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_ensemble_flags(p, spectrum=True):
+    def add_ensemble_flags(p):
         p.add_argument("--beta", type=int, required=True, choices=(1, 2))
         p.add_argument("--p", type=int, required=True, help="number of rows (time series)")
         p.add_argument("--n", type=int, required=True, help="number of columns (time steps)")
-        if spectrum:
-            p.add_argument(
-                "--spectrum", required=True,
-                help="file with one positive eigenvalue per line; '#' comments allowed",
-            )
+        p.add_argument(
+            "--spectrum", required=True,
+            help="file with one positive eigenvalue per line; '#' comments allowed",
+        )
 
     p_exact = sub.add_parser("exact", help="exact finite-size law on a t grid")
     add_ensemble_flags(p_exact)
@@ -83,10 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_ensemble_flags(p_sample)
     p_sample.add_argument("--count", type=int, default=50000)
     p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument(
-        "--rotate", action="store_true",
-        help="conjugate each sample by a random basis rotation (invariance self-test)",
-    )
     p_sample.add_argument("--out", required=True)
 
     p_verify = sub.add_parser("verify", help="KS test of a batch against the analytic law")
@@ -136,10 +135,7 @@ def _load_inputs(args):
         raise CliError(f"cannot read spectrum file: {exc}") from exc
     except ValueError as exc:
         raise CliError(f"bad spectrum file {args.spectrum}: {exc}") from exc
-    try:
-        config = make_config(args.beta, args.p, args.n)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    config = make_config(args.beta, args.p, args.n)
     if spectrum.p != config.p:
         raise CliError(
             f"spectrum file has {spectrum.p} eigenvalues but --p is {config.p}"
@@ -180,10 +176,7 @@ def cmd_exact(args, argv) -> int:
 
 
 def cmd_micro(args, argv) -> int:
-    try:
-        micro = make_micro_config(args.beta, args.gamma)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    micro = make_micro_config(args.beta, args.gamma)
     u_min = args.u_min
     if u_min <= 0.0:
         print(
@@ -193,11 +186,8 @@ def cmd_micro(args, argv) -> int:
         )
         u_min = DEFAULT_U_MIN
     us = _grid(u_min, args.u_max, args.u_steps, "u")
-    try:
-        gaps = micro_gap(us, micro)
-        pmins = micro_pmin(us, micro)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    gaps = micro_gap(us, micro)
+    pmins = micro_pmin(us, micro)
     lines = [f"# command: {_command_line(argv)}", "u,gap,pmin"]
     for u, gap, pmin in zip(us.tolist(), gaps.tolist(), pmins.tolist()):
         lines.append(f"{u!r},{gap!r},{pmin!r}")
@@ -205,17 +195,9 @@ def cmd_micro(args, argv) -> int:
     return 0
 
 
-def _run_batch(args):
-    spectrum, config = _load_inputs(args)
-    if args.count < 1:
-        raise CliError(f"--count must be at least 1, got {args.count}")
-    rotate = bool(getattr(args, "rotate", False))
-    batch = sample_batch(spectrum, config, args.count, args.seed, rotate=rotate)
-    return spectrum, config, batch
-
-
 def cmd_sample(args, argv) -> int:
-    _, _, batch = _run_batch(args)
+    spectrum, config = _load_inputs(args)
+    batch = sample_batch(spectrum, config, args.count, args.seed)
     text = f"# command: {_command_line(argv)}\n" + batch_csv_text(batch)
     _write_atomic(args.out, text)
     meta = batch_metadata(batch)
@@ -227,37 +209,27 @@ def cmd_sample(args, argv) -> int:
 def cmd_verify(args, argv) -> int:
     if args.bins < 1:
         raise CliError(f"--bins must be at least 1, got {args.bins}")
-    spectrum, config, batch = _run_batch(args)
-    values = batch.values
-    law_config = config
-    if args.law_n is not None:
-        try:
-            law_config = make_config(args.beta, args.p, args.law_n)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+    if args.count < 2:
+        raise CliError(f"--count must be at least 2 to build a histogram, got {args.count}")
+    spectrum, config = _load_inputs(args)
+    law_config = config if args.law_n is None else make_config(args.beta, args.p, args.law_n)
     if args.mode == "exact":
         law = ExactLaw(spectrum, law_config)
-        positions = values
-        cdf_vals = 1.0 - law.gap_grid(values)
         density_grid = law.density_grid
     else:
-        try:
-            micro = make_micro_config(law_config.beta, law_config.gamma)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        positions = micro_rescale(values, spectrum, config)
-        cdf_vals = 1.0 - micro_gap(positions, micro)
+        micro = make_micro_config(law_config.beta, law_config.gamma)
         density_grid = lambda us: micro_pmin(us, micro)  # noqa: E731
+    threshold, note = ks_threshold(args.alpha, args.count, args.ks_threshold)
+    batch = sample_batch(spectrum, config, args.count, args.seed)
+    if args.mode == "exact":
+        positions = batch.values
+        cdf_vals = 1.0 - law.gap_grid(positions)
+    else:
+        positions = micro_rescale(batch.values, spectrum, config)
+        cdf_vals = 1.0 - micro_gap(positions, micro)
 
-    try:
-        report = ks_statistic(positions, cdf_vals, alpha=args.alpha, threshold=args.ks_threshold)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-    try:
-        hist = build_histogram(positions, args.bins)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = ks_statistic(positions, cdf_vals, alpha=args.alpha, threshold=threshold)
+    hist = build_histogram(positions, args.bins)
     lefts, rights = hist.edges[:-1], hist.edges[1:]
     analytic = density_grid(0.5 * (lefts + rights))
     hist_lines = [f"# command: {_command_line(argv)}", "bin_left,bin_right,density,analytic_pmin"]
@@ -282,10 +254,9 @@ def cmd_verify(args, argv) -> int:
     )
     if args.law_n is not None:
         doc["law_n"] = args.law_n
-    if args.ks_threshold is not None:
+    if note is not None:
         doc["threshold_note"] = (
-            f"{_threshold_override(args.alpha, batch.count, args.ks_threshold)}: "
-            f"the reference law is a limiting law and carries finite-size bias "
+            f"{note}: the reference law is a limiting law and carries finite-size bias "
             f"at p={config.p}"
         )
     _write_atomic(args.out, json.dumps(doc, indent=2) + "\n")
@@ -295,14 +266,6 @@ def cmd_verify(args, argv) -> int:
         f"n = {report.n} -> {args.out}"
     )
     return 0 if report.passed else 1
-
-
-def _threshold_override(alpha: float, n: int, threshold: float) -> str:
-    """What an explicit KS threshold replaced, for the report's note."""
-    c = KS_QUANTILES.get(alpha)
-    if c is None:
-        return f"alpha={alpha} has no tabulated KS quantile; threshold set to {threshold}"
-    return f"alpha-based threshold {round(c / math.sqrt(n), 6)} overridden to {threshold}"
 
 
 _COMMANDS = {
@@ -321,7 +284,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args, argv)
-    except (CliError, ArithmeticError) as exc:
+    except (CliError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -152,8 +152,6 @@ class ExactLaw:
 
     def gap(self, t: float) -> float:
         """Gap probability E(t), 1 at t = 0 and decaying to 0: a 1-point gap_grid."""
-        if t < 0 or not math.isfinite(t):
-            raise ValueError(f"t must be non-negative and finite, got {t}")
         return float(self.gap_grid(np.array([float(t)]))[0])
 
     def density(self, t: float) -> float:
@@ -164,8 +162,6 @@ class ExactLaw:
 
         bench/tracer.py wraps this method by name.
         """
-        if t < 0 or not math.isfinite(t):
-            raise ValueError(f"t must be non-negative and finite, got {t}")
         return DensityResult(float(self.density_grid(np.array([float(t)]))[0]))
 
     def gap_grid(self, ts) -> np.ndarray:

@@ -18,18 +18,19 @@ T = Lambda^(1/2) L directly, and its smallest singular value comes from
 ``linalg.smallest_singular_value`` for lower-triangular matrices.
 
 Every sample takes a fixed number of uniforms from its stream, in this
-order (``_layout``): the Gaussians of ``RngStream.gaussians`` below the
+order (``_plan``): the Gaussians of ``RngStream.gaussians`` below the
 diagonal, the strictly lower triangle row by row (for beta=2 two
 consecutive Gaussians are the real and imaginary part of one entry), then
 (beta=1) one extra Gaussian for each row with an odd number of degrees of
 freedom; then the uniforms of the diagonal sums, Gamma(m) =
 -sum_{j<=m} log1p(-U_j) and chi2_m = 2 Gamma(m // 2) plus the extra
-Gaussian squared when m is odd; then, with ``rotate``, the Gaussians of
-the rotation.  No draw is rejected, so the chunks of a batch stay aligned
-with the streams: one Philox generator is re-keyed to (seed, index) for
-each sample and fills that sample's row of uniforms, and the whole chunk
-then goes through one Box-Muller transform, one ``log1p``, one segmented
-sum (``np.add.reduceat``) and one stacked sigma_min.  What depends on the
+Gaussian squared when m is odd.  Nothing else is drawn, no basis rotation
+either, as the observable does not depend on it (above).  No draw is
+rejected, so the chunks of a batch stay aligned with the streams: one
+Philox generator is re-keyed to (seed, index) for each sample and fills
+that sample's row of uniforms, and the whole chunk then goes through one
+Box-Muller transform, one ``log1p``, one segmented sum
+(``np.add.reduceat``) and one stacked sigma_min.  What depends on the
 batch alone is built once per batch (``_plan``): the layout counts, the
 segment starts, the flat indices of T's strict lower triangle and
 diagonal, the odd rows and sqrt(lambda) per entry.  Once one sample needs
@@ -125,29 +126,14 @@ class RngStream:
         return _box_muller(self._gen.random(2 * ((count + 1) // 2)))[:count]
 
 
-def _layout(config: EnsembleConfig, rotate: bool):
-    """Uniforms per sample: (Gaussian uniforms, diagonal-sum uniforms, rotation uniforms).
-
-    Each count is even where it feeds Box-Muller, as a ``gaussians`` call
-    of that size would take it.
-    """
-    p, n, beta = config.p, config.n, config.beta
-    dof = n - np.arange(p)  # degrees of freedom of L_ii**2, i = 1 .. p
-    normals = beta * (p * (p - 1) // 2) + (int(np.count_nonzero(dof % 2)) if beta == 1 else 0)
-    sums = int(dof.sum()) if beta == 2 else int((dof // 2).sum())
-    rotation = beta * (p * p + p * p % 2) if rotate else 0
-    return normals + normals % 2, sums, rotation
-
-
 @dataclass(frozen=True)
 class _Plan:
     """What ``_triangular_factors`` needs of a batch, built once by ``_plan``."""
 
     beta: int
     p: int
-    normals: int  # the three counts of ``_layout``
+    normals: int  # uniforms per sample: Gaussians, then diagonal sums
     draws: int
-    rotation: int
     rows: int  # samples per chunk
     starts: np.ndarray  # np.add.reduceat starts of the diagonal sums of a whole chunk
     lower: np.ndarray  # flat indices into p * p of the strictly lower triangle, row by row
@@ -157,15 +143,21 @@ class _Plan:
     scale: np.ndarray  # sqrt(lambda_i) (beta=1) or sqrt(lambda_i / 2) (beta=2), per lower entry
 
 
-def _plan(spectrum: EmpiricalSpectrum, config: EnsembleConfig, count: int, rotate: bool) -> _Plan:
-    """The per-batch constants of a batch of ``count`` samples."""
+def _plan(spectrum: EmpiricalSpectrum, config: EnsembleConfig, count: int) -> _Plan:
+    """The per-batch constants of a batch of ``count`` samples.
+
+    ``normals`` is rounded up to even: Box-Muller takes its uniforms in
+    pairs, as a ``gaussians`` call of that size would.
+    """
     if spectrum.p != config.p:
         raise ValueError(f"spectrum has p={spectrum.p} but config expects p={config.p}")
     p, n, beta = config.p, config.n, config.beta
-    normals, draws, rotation = _layout(config, rotate)
-    rows = max(1, min(count, CHUNK_DRAWS // (normals + draws + rotation)))
-    dof = n - np.arange(p)
+    dof = n - np.arange(p)  # degrees of freedom of L_ii**2, i = 1 .. p
+    normals = beta * (p * (p - 1) // 2) + (int(np.count_nonzero(dof % 2)) if beta == 1 else 0)
+    normals += normals % 2
     group = dof if beta == 2 else dof // 2
+    draws = int(group.sum())
+    rows = max(1, min(count, CHUNK_DRAWS // (normals + draws)))
     starts = np.concatenate(([0], np.cumsum(group)[:-1])) + draws * np.arange(rows)[:, None]
     below, col = np.tril_indices(p, -1)
     lam = np.asarray(spectrum.lambdas)
@@ -174,7 +166,6 @@ def _plan(spectrum: EmpiricalSpectrum, config: EnsembleConfig, count: int, rotat
         p=p,
         normals=normals,
         draws=draws,
-        rotation=rotation,
         rows=rows,
         starts=starts.reshape(-1),
         lower=below * p + col,
@@ -189,7 +180,7 @@ def _triangular_factors(u, plan: _Plan, out):
     """Stack of T = Lambda^(1/2) L, one per row of ``u``, written into ``out``.
 
     Each row holds a sample's Gaussian and diagonal-sum uniforms, in the
-    order of the module docstring (the first two counts of ``_layout``).
+    order of the module docstring (``plan.normals`` and ``plan.draws``).
     ``out`` holds one flat p * p matrix per row, zero above the diagonal;
     the strict lower triangle and the diagonal are overwritten, and the
     (k, p, p) view of ``out`` is returned.
@@ -248,7 +239,6 @@ def sample_batch(
     config: EnsembleConfig,
     count: int,
     seed: int,
-    rotate: bool = False,
 ) -> SampleBatch:
     """count smallest eigenvalues lambda_min(W W^dag), sorted ascending.
 
@@ -256,20 +246,15 @@ def sample_batch(
     the order of the module docstring, so the batch is independent of
     evaluation order.  Samples are drawn in chunks of about ``CHUNK_DRAWS``
     uniforms, and each chunk's lambda_min are the squared smallest singular
-    values of its stack of T.  ``rotate`` left-multiplies each T by a random
-    orthogonal (beta=1) or unitary (beta=2) matrix, the Q of a QR of
-    Gaussians drawn after T on the same stream, and brings the product back
-    to lower-triangular form through a QR of its conjugate transpose; the
-    observable is invariant, so this exists purely as a self-test of the
-    eigenbasis reduction and the triangular sigma_min.
+    values of its stack of T.
     """
     seed = as_integer(seed, "seed must be an integer, got {!r}")
     count = as_integer(count, "count must be an integer, got {!r}")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    plan = _plan(spectrum, config, count, rotate)
-    p, beta, head = plan.p, plan.beta, plan.normals + plan.draws
-    u = np.empty((plan.rows, head + plan.rotation))
+    plan = _plan(spectrum, config, count)
+    p, beta = plan.p, plan.beta
+    u = np.empty((plan.rows, plan.normals + plan.draws))
     # one buffer for every chunk (the factors never write above the diagonal):
     # at p=200 a fresh 640 KB T per sample made glibc trim and re-fault the heap
     factors = np.zeros((plan.rows, p * p), dtype=np.complex128 if beta == 2 else np.float64)
@@ -281,13 +266,6 @@ def sample_batch(
             stream.restart(start + i)
             stream.uniforms(row)
         t = _triangular_factors(chunk, plan, factors[: len(chunk)])
-        if rotate:
-            g = _box_muller(chunk[:, head:]).reshape(len(chunk), beta, -1)
-            q = g[:, 0, : p * p].reshape(-1, p, p)
-            if beta == 2:
-                q = q + 1j * g[:, 1, : p * p].reshape(-1, p, p)
-            r = np.linalg.qr((np.linalg.qr(q)[0] @ t).conj().swapaxes(1, 2))[1]
-            t = r.conj().swapaxes(1, 2)
         values[start : start + len(chunk)] = smallest_singular_value(t) ** 2
     values.sort()
     zeros = int(np.count_nonzero(values == 0.0))

@@ -16,6 +16,7 @@ __all__ = [
     "Histogram",
     "KsReport",
     "ks_statistic",
+    "ks_threshold",
     "build_histogram",
 ]
 
@@ -67,12 +68,7 @@ def ks_statistic(sorted_samples, cdf_values, alpha: float = 0.01, threshold=None
         raise ValueError("samples must be finite")
     if np.any(np.diff(xs) < 0):
         raise ValueError("samples must be sorted ascending")
-    if threshold is None:
-        if alpha not in KS_QUANTILES:
-            raise ValueError(f"alpha must be one of {sorted(KS_QUANTILES)}, got {alpha}")
-        threshold = KS_QUANTILES[alpha] / math.sqrt(xs.size)
-    elif not (math.isfinite(threshold) and threshold > 0):
-        raise ValueError(f"the KS threshold must be positive and finite, got {threshold}")
+    threshold = ks_threshold(alpha, xs.size, threshold)[0]
     fs = np.asarray(cdf_values, dtype=float)
     if fs.shape != xs.shape:
         raise ValueError(f"need one cdf value per sample, got shape {fs.shape} for {xs.shape}")
@@ -85,6 +81,28 @@ def ks_statistic(sorted_samples, cdf_values, alpha: float = 0.01, threshold=None
     return KsReport(
         statistic=d, n=n, alpha=alpha, threshold=float(threshold), passed=d < threshold
     )
+
+
+def ks_threshold(alpha: float, n: int, threshold=None):
+    """(threshold, note): the KS pass threshold for n samples, and what it replaced.
+
+    Without an explicit ``threshold`` it is c(alpha)/sqrt(n), alpha must
+    have a tabulated quantile and the note is None.  An explicit threshold
+    must be positive and finite; the note then names the c(alpha)/sqrt(n) it
+    overrides, or says that alpha has none.
+    """
+    c = KS_QUANTILES.get(alpha)
+    if threshold is None:
+        if c is None:
+            raise ValueError(f"alpha must be one of {sorted(KS_QUANTILES)}, got {alpha}")
+        return c / math.sqrt(n), None
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"the KS threshold must be positive and finite, got {threshold}")
+    if c is None:
+        note = f"alpha={alpha} has no tabulated KS quantile; threshold set to {threshold}"
+    else:
+        note = f"alpha-based threshold {round(c / math.sqrt(n), 6)} overridden to {threshold}"
+    return threshold, note
 
 
 def build_histogram(samples, bin_count: int) -> Histogram:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wishartmin import cli
 from wishartmin.cli import main
 from wishartmin.exactlaw import ExactLaw
 from wishartmin.spectra import EmpiricalSpectrum, make_config
@@ -205,14 +206,6 @@ class TestSample:
         ])
         assert rc == 2
 
-    def test_rotate_flag_runs(self, small_file, tmp_path):
-        out = str(tmp_path / "rot.csv")
-        rc = main([
-            "sample", "--beta", "2", "--p", "3", "--n", "5", "--spectrum", small_file,
-            "--count", "5", "--seed", "1", "--rotate", "--out", out,
-        ])
-        assert rc == 0
-
 
 class TestVerify:
     def test_exact_mode_passes(self, small_file, tmp_path):
@@ -307,9 +300,10 @@ def test_sample_and_verify_do_not_import_scipy(small_file, tmp_path):
     # import time and memory in every CLI process
     code = """
 import sys
+from wishartmin import cli
 from wishartmin.cli import main
 ens = ["--beta", "1", "--p", "3", "--n", "6", "--spectrum", sys.argv[1], "--seed", "4"]
-assert main(["sample", *ens, "--count", "20", "--rotate", "--out", sys.argv[2] + "/s.csv"]) == 0
+assert main(["sample", *ens, "--count", "20", "--out", sys.argv[2] + "/s.csv"]) == 0
 assert main(["verify", "--mode", "exact", *ens, "--count", "200",
              "--out", sys.argv[2] + "/v.json"]) == 0
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
@@ -413,3 +407,60 @@ def test_out_in_missing_directory_exits_2(argv, tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: cannot write ")
     assert not missing.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["exact", "--beta", "2", "--p", "2", "--n", "3", "--spectrum", "{spectrum}",
+          "--t-max", "1", "--t-steps", "3"], "ExactLaw"),
+        (["micro", "--beta", "2", "--gamma", "2", "--u-steps", "3"], "micro_gap"),
+        (["sample", "--beta", "2", "--p", "2", "--n", "3", "--spectrum", "{spectrum}",
+          "--count", "50", "--seed", "1"], "sample_batch"),
+        (["verify", "--mode", "exact", "--beta", "2", "--p", "2", "--n", "3",
+          "--spectrum", "{spectrum}", "--count", "50", "--seed", "1"], "ks_statistic"),
+    ],
+    ids=["exact", "micro", "sample", "verify"],
+)
+def test_library_value_error_exits_2(argv, target, monkeypatch, tmp_path, capsys):
+    # main, not each command, turns a library's ValueError into exit 2
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, target, boom)
+    spectrum = tmp_path / "spectrum.txt"
+    spectrum.write_text(TWO)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = [a.format(spectrum=spectrum) for a in argv] + ["--out", str(out_dir / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: boom\n"
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "exact", "--beta", "2", "--p", "2", "--n", "3", "--alpha", "0.1"],
+        ["--mode", "exact", "--beta", "2", "--p", "2", "--n", "3", "--ks-threshold", "-1"],
+        ["--mode", "exact", "--beta", "2", "--p", "2", "--n", "3", "--law-n", "1"],
+        # gamma=44 needs Bessel order 89
+        ["--mode", "micro", "--beta", "1", "--p", "2", "--n", "91"],
+    ],
+    ids=["alpha-0.1", "ks-threshold-negative", "law-n-1", "micro-n-91"],
+)
+def test_verify_rejects_input_before_sampling(argv, monkeypatch, tmp_path, capsys):
+    def no_sampling(*args, **kwargs):
+        pytest.fail("verify drew a batch for input it rejects")
+
+    monkeypatch.setattr(cli, "sample_batch", no_sampling)
+    spectrum = tmp_path / "spectrum.txt"
+    spectrum.write_text(TWO)
+    out = tmp_path / "out"
+    argv = ["verify", *argv, "--spectrum", str(spectrum), "--count", "50", "--seed", "1",
+            "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not out.exists() and not (tmp_path / "out.hist.csv").exists()

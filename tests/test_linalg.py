@@ -175,6 +175,23 @@ class TestSmallestSingularValue:
             smallest_singular_value(tril_factor(w)), rel=1e-9
         )
 
+    @pytest.mark.parametrize(
+        "dtype, p, lanczos",
+        [(float, 4, False), (complex, 4, False), (float, 72, True), (complex, 40, True)],
+        ids=["real-p4", "complex-p4", "real-p72", "complex-p40"])
+    def test_invariant_under_left_rotation(self, dtype, p, lanczos):
+        # sigma_min of Q T, made lower-triangular again by a QR of its
+        # conjugate transpose, is that of T
+        rng = np.random.default_rng(p)
+        z = (dtype is complex) * 1j
+        t = np.tril(rng.standard_normal((5, p, p)) + z * rng.standard_normal((5, p, p)))
+        t[:, np.arange(p), np.arange(p)] = np.sqrt(p + 3.0 - np.arange(p))
+        q = np.linalg.qr(rng.standard_normal((5, p, p)) + z * rng.standard_normal((5, p, p)))[0]
+        r = np.linalg.qr((q @ t).conj().swapaxes(1, 2))[1].conj().swapaxes(1, 2)
+        assert (p > _GRAM_ROWS[t.dtype]) == lanczos
+        want = smallest_singular_value(t)
+        assert np.allclose(smallest_singular_value(r), want, rtol=1e-9, atol=0.0)
+
     def test_complex_transposed_view(self):
         # a non-contiguous complex matrix is valid input
         rng = np.random.default_rng(5)

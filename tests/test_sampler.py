@@ -271,16 +271,6 @@ class TestSampleBatch:
         scaled = sample_batch(specc, cfg, 200, seed=8)
         assert np.allclose(scaled.values, c * base.values, rtol=1e-12)
 
-    def test_rotation_invariance(self):
-        spec = EmpiricalSpectrum((0.5, 1.0, 4.0))
-        for beta, n in ((1, 6), (2, 4)):
-            cfg = make_config(beta, 3, n)
-            # more samples than one chunk holds, with or without rotation draws
-            count = CHUNK_DRAWS // (beta * 3 * n) + 5
-            plain = sample_batch(spec, cfg, count, seed=17)
-            rotated = sample_batch(spec, cfg, count, seed=17, rotate=True)
-            assert np.allclose(rotated.values, plain.values, rtol=1e-9)
-
     def test_values_positive_and_sorted(self):
         spec = EmpiricalSpectrum(BENCH10_SPECTRUM)
         cfg = make_config(1, 10, 13)

@@ -5,7 +5,7 @@ import pytest
 
 from wishartmin.sampler import sample_batch
 from wishartmin.spectra import EmpiricalSpectrum, make_config
-from wishartmin.stats import build_histogram, ks_statistic
+from wishartmin.stats import build_histogram, ks_statistic, ks_threshold
 
 from oracles import derivative_check, gamma2_density, gamma2_tail
 
@@ -40,6 +40,13 @@ class TestKsStatistic:
         report = ks_statistic([0.5], [0.5], threshold=0.6)
         assert report.threshold == 0.6
         assert report.passed
+
+    def test_threshold_note_names_what_was_overridden(self):
+        assert ks_threshold(0.01, 10_000) == (pytest.approx(0.0163), None)
+        assert ks_threshold(0.01, 10_000, 0.05) == (
+            0.05, "alpha-based threshold 0.0163 overridden to 0.05")
+        assert ks_threshold(0.1, 10_000, 0.05) == (
+            0.05, "alpha=0.1 has no tabulated KS quantile; threshold set to 0.05")
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0, 0.0])
     def test_rejects_threshold_not_positive_finite(self, threshold):
