@@ -12,8 +12,9 @@ rename), so identical invocations produce byte-identical files.  Exit codes:
 0 success, 1 verification failure, 2 usage or input error.  ``main`` maps
 every ``CliError`` (a check of this module), ``ValueError`` (an input the
 library rejects) and ``ArithmeticError`` (an input that overflows the
-numerics) to exit 2.  ``verify`` builds its law and KS threshold before it
-draws the batch, so bad input exits before the sampling it would waste.
+numerics) to exit 2.  ``verify`` builds its law, the hard-edge rescale
+factor and the KS threshold before it draws the batch, so bad input exits
+before the sampling it would waste.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ import sys
 import numpy as np
 
 from .exactlaw import ExactLaw
-from .microlaw import (
-    make_micro_config,
-    micro_gap,
-    micro_pmin,
-    micro_rescale,
-)
+from .microlaw import make_micro_config, micro_curve, micro_gap, micro_pmin, micro_rescale
 from .sampler import batch_csv_text, batch_metadata, sample_batch
 from .spectra import load_spectrum, make_config
 from .stats import build_histogram, ks_statistic, ks_threshold
@@ -153,25 +149,26 @@ def _grid(lo: float, hi: float, steps: int, name: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
+def _write_csv(path: str, argv, header: str, columns):
+    """Float columns as CSV rows under the ``# command:`` line and ``header``."""
+    lines = [f"# command: {_command_line(argv)}", header]
+    # tolist() gives Python floats: a numpy scalar's repr is not a plain number
+    for row in zip(*(c.tolist() for c in columns)):
+        lines.append(",".join(repr(v) for v in row))
+    _write_atomic(path, "\n".join(lines) + "\n")
+
+
 def cmd_exact(args, argv) -> int:
     spectrum, config = _load_inputs(args)
     if args.t_min < 0:
         raise CliError(f"--t-min must be non-negative, got {args.t_min}")
     ts = _grid(args.t_min, args.t_max, args.t_steps, "t")
-    law = ExactLaw(spectrum, config)
-    gaps = law.gap_grid(ts)
-    pmins = law.density_grid(ts)
-    lines = [f"# command: {_command_line(argv)}"]
+    columns = [ts, *ExactLaw(spectrum, config).curve(ts)]
     header = "t,gap,pmin"
     if args.c_normalization:
         header += ",t_over_n"
-    lines.append(header)
-    for t, gap, pmin in zip(ts.tolist(), gaps.tolist(), pmins.tolist()):
-        row = f"{t!r},{gap!r},{pmin!r}"
-        if args.c_normalization:
-            row += f",{t / config.n!r}"
-        lines.append(row)
-    _write_atomic(args.out, "\n".join(lines) + "\n")
+        columns.append(ts / config.n)
+    _write_csv(args.out, argv, header, columns)
     return 0
 
 
@@ -186,12 +183,7 @@ def cmd_micro(args, argv) -> int:
         )
         u_min = DEFAULT_U_MIN
     us = _grid(u_min, args.u_max, args.u_steps, "u")
-    gaps = micro_gap(us, micro)
-    pmins = micro_pmin(us, micro)
-    lines = [f"# command: {_command_line(argv)}", "u,gap,pmin"]
-    for u, gap, pmin in zip(us.tolist(), gaps.tolist(), pmins.tolist()):
-        lines.append(f"{u!r},{gap!r},{pmin!r}")
-    _write_atomic(args.out, "\n".join(lines) + "\n")
+    _write_csv(args.out, argv, "u,gap,pmin", [us, *micro_curve(us, micro)])
     return 0
 
 
@@ -215,28 +207,21 @@ def cmd_verify(args, argv) -> int:
     law_config = config if args.law_n is None else make_config(args.beta, args.p, args.law_n)
     if args.mode == "exact":
         law = ExactLaw(spectrum, law_config)
-        density_grid = law.density_grid
+        gap_at, density_at, scale = law.gap_grid, law.density_grid, 1.0
     else:
         micro = make_micro_config(law_config.beta, law_config.gamma)
-        density_grid = lambda us: micro_pmin(us, micro)  # noqa: E731
+        gap_at = lambda us: micro_gap(us, micro)  # noqa: E731
+        density_at = lambda us: micro_pmin(us, micro)  # noqa: E731
+        scale = micro_rescale(1.0, spectrum, config)
     threshold, note = ks_threshold(args.alpha, args.count, args.ks_threshold)
     batch = sample_batch(spectrum, config, args.count, args.seed)
-    if args.mode == "exact":
-        positions = batch.values
-        cdf_vals = 1.0 - law.gap_grid(positions)
-    else:
-        positions = micro_rescale(batch.values, spectrum, config)
-        cdf_vals = 1.0 - micro_gap(positions, micro)
-
+    positions = batch.values * scale
+    cdf_vals = 1.0 - gap_at(positions)
     report = ks_statistic(positions, cdf_vals, alpha=args.alpha, threshold=threshold)
     hist = build_histogram(positions, args.bins)
     lefts, rights = hist.edges[:-1], hist.edges[1:]
-    analytic = density_grid(0.5 * (lefts + rights))
-    hist_lines = [f"# command: {_command_line(argv)}", "bin_left,bin_right,density,analytic_pmin"]
-    # tolist() gives Python floats: a numpy scalar's repr is not a plain number
-    for row in zip(lefts.tolist(), rights.tolist(), hist.densities.tolist(), analytic.tolist()):
-        hist_lines.append(",".join(repr(v) for v in row))
-    _write_atomic(args.out + ".hist.csv", "\n".join(hist_lines) + "\n")
+    _write_csv(args.out + ".hist.csv", argv, "bin_left,bin_right,density,analytic_pmin",
+               [lefts, rights, hist.densities, density_at(0.5 * (lefts + rights))])
 
     doc = report.to_json()
     doc.update(

@@ -23,10 +23,12 @@ with r = tr(beta/(2*lam)) and Q' the term-wise t-derivative of the kernel.
 The coefficients of the 2*dim - 1 polynomials f_s and of their derivatives
 are built once, in one array pass, as float mantissas with separate binary
 exponents (kernel_coefficients).  The grid engine evaluates them by Horner's
-rule in that form; linalg.jacobi_gap_density assembles Q and Q' from the
-values for one batched determinant and one batched solve.  t = 0 reads the
-constant coefficients directly.  The scalar gap and density, and the value
-of a single KernelPolynomial, are 1-point calls into that engine.
+rule in that form on the whole grid, with no block loop: those values take
+O(points * polynomials) memory, and linalg.jacobi_gap_density blocks the
+kernel stacks.  ExactLaw.curve takes gap and density from one kernel
+evaluation; gap_grid skips Q' for the KS test of ``verify``.  t = 0 reads
+the constant coefficients directly.  The scalar gap and density, and the
+value of a single KernelPolynomial, are 1-point calls into that engine.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .spectra import (
 
 __all__ = [
     "KernelPolynomial",
-    "DensityResult",
     "kernel_coefficients",
     "ExactLaw",
 ]
@@ -125,17 +126,6 @@ class KernelPolynomial:
         return SignedLog(int(np.sign(m)), abs(m), int(ae[0, 0]))
 
 
-# grid points evaluated together: bounds the (points x polynomials) arrays
-GRID_BLOCK = 256
-
-
-@dataclass(frozen=True, slots=True)
-class DensityResult:
-    """Density value of one point."""
-
-    value: float
-
-
 class ExactLaw:
     """Prebuilt kernel coefficients for one (spectrum, config) pair.
 
@@ -155,14 +145,14 @@ class ExactLaw:
         return float(self.gap_grid(np.array([float(t)]))[0])
 
     def density(self, t: float) -> float:
-        return self.density_detailed(t).value
+        return self.density_detailed(t)
 
-    def density_detailed(self, t: float) -> DensityResult:
+    def density_detailed(self, t: float) -> float:
         """Smallest-eigenvalue density -dE/dt at t: a 1-point density_grid.
 
         bench/tracer.py wraps this method by name.
         """
-        return DensityResult(float(self.density_grid(np.array([float(t)]))[0]))
+        return float(self.density_grid(np.array([float(t)]))[0])
 
     def gap_grid(self, ts) -> np.ndarray:
         """Gap probability on a 1-d array of t values."""
@@ -170,27 +160,20 @@ class ExactLaw:
 
     def density_grid(self, ts) -> np.ndarray:
         """Smallest-eigenvalue density -dE/dt on a 1-d array of t values."""
-        return self._grid(ts, derivative=True)[1]
+        return self.curve(ts)[1]
+
+    def curve(self, ts):
+        """(gap, density) arrays on a 1-d array of t values, from one kernel evaluation."""
+        return self._grid(ts, derivative=True)
 
     def _grid(self, ts, derivative: bool):
-        """(gap, density) arrays; density is None unless ``derivative``."""
+        """(gap, density) from each t's f_s, and f_s' if ``derivative``; else density is None."""
         ts = np.asarray(ts, dtype=float)
         if ts.ndim != 1:
             raise ValueError("expected a 1-d array of t values")
         if np.any(~np.isfinite(ts)) or np.any(ts < 0):
             raise ValueError("t values must be non-negative and finite")
         log_pref = -self.trace_rate * ts - self.config.gamma * self.log_det_lambda
-        gap = np.empty(ts.size)
-        density = np.empty(ts.size) if derivative else None
-        for start in range(0, ts.size, GRID_BLOCK):
-            block = slice(start, start + GRID_BLOCK)
-            gap[block], block_density = self._block(ts[block], log_pref[block], derivative)
-            if derivative:
-                density[block] = block_density
-        return gap, density
-
-    def _block(self, ts, log_pref, derivative: bool):
-        """(gap, density) of one block of grid points, from f_s and f_s' at each point."""
         f = len(self._coeff_mant) // 2
         rows = slice(None) if derivative else slice(f)
         mant, expo = _horner(self._coeff_mant[rows], self._coeff_exp[rows], ts)
@@ -219,8 +202,8 @@ def _horner(cm, ce, ts):
         am *= tm
         ae += te
         top = np.maximum(ae, ce[:, k])
-        am = np.ldexp(am, np.subtract(ae, top, out=ae))
+        np.ldexp(am, np.subtract(ae, top, out=ae), out=am)
         am += np.ldexp(cm[:, k], ce[:, k] - top)
-        am, ae = np.frexp(am)
+        np.frexp(am, out=(am, ae))
         ae += top
     return am, ae

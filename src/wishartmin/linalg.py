@@ -6,8 +6,11 @@ Q_ij = w_ij * F_{i+j}, and each law hands this module only the values F_s
 on a whole grid, as float mantissas with separate binary exponents.
 hankel_kernel assembles Q and Q', each row is scaled by its largest exponent
 and the stack goes through one batched LAPACK determinant and one batched
-solve.  The determinant of a single SignedLogMatrix is the same row-scaled
-determinant of a 1-matrix stack, after an integer shift of each column.
+solve.  jacobi_gap_density does this GRID_BLOCK points at a time: the
+stacks, dim**2 floats a point, are the only arrays of either law that grow
+faster than its 2*dim - 1 values.  The determinant of a single
+SignedLogMatrix is the same row-scaled determinant of a 1-matrix stack,
+after an integer shift of each column.
 
 The sampler hands over no data matrix W, only the p x p lower-triangular
 factor T = Lambda^(1/2) L of its LQ decomposition, which has the same
@@ -51,6 +54,10 @@ ANTISYM_REL_TOL = 1e-12
 ZERO_EXP = -(1 << 29)
 
 _LN2 = math.log(2.0)
+
+# grid points whose kernels jacobi_gap_density assembles, factors and solves
+# together: bounds its (points, dim, dim) stacks for both laws
+GRID_BLOCK = 256
 
 
 class SignedLogMatrix:
@@ -185,26 +192,39 @@ def jacobi_gap_density(log_pref, rate, beta, mant, expo, dmant=None, dexpo=None)
 
         gap * (rate - (beta/2) * tr(Q^-1 Q')),
 
-    one batched solve for the whole stack.  Points whose determinant is not
-    positive get gap 0; a negative density from cancellation where the gap
-    is close to 1 is clamped to 0.  Returns the pair (gap, density), with
-    density None when no derivative is given.  Every point is computed
-    independently, so an element does not depend on the rest of the stack.
+    one batched solve per block of GRID_BLOCK points.  Points whose
+    determinant is not positive get gap 0; a negative density from
+    cancellation where the gap is close to 1 is clamped to 0.  Returns the
+    pair (gap, density), with density None when no derivative is given.
+    Every point is computed independently, so an element does not depend on
+    the rest of the grid or on the blocking.
     """
-    sign, logabs, top, scaled = _row_scaled_slogdet(*hankel_kernel(beta, mant, expo))
-    ok = sign > 0
-    log_det = logabs[ok] + _LN2 * top[ok, :, 0].sum(axis=1)
-    gap = np.zeros(mant.shape[0])
-    gap[ok] = np.exp(log_pref[ok] + 0.5 * beta * log_det)
+    gap, trace = np.empty(mant.shape[0]), np.empty(mant.shape[0])
+    for start in range(0, len(gap), GRID_BLOCK):
+        block = slice(start, start + GRID_BLOCK)
+        gap[block], trace[block] = _jacobi_block(block, log_pref, beta, mant, expo, dmant, dexpo)
     if dmant is None:
         return gap, None
-    dmant, dexpo = hankel_kernel(beta, dmant[ok], dexpo[ok])
-    sol = np.linalg.solve(scaled[ok], np.ldexp(dmant, dexpo - top[ok]))
-    trace = np.zeros(mant.shape[0])
-    for i in range(scaled.shape[1]):  # a fixed summation order, whatever the stack size
-        trace[ok] += sol[:, i, i]
     density = gap * (rate - 0.5 * beta * trace)
     return gap, np.where(density > 0.0, density, 0.0)
+
+
+def _jacobi_block(block, log_pref, beta, mant, expo, dmant, dexpo):
+    """(gap, tr(Q^-1 Q')) at the grid points ``block``; the trace is 0 when ``dmant`` is None.
+
+    Its own function, so no array of one block outlives it into the next.
+    """
+    sign, logabs, top, scaled = _row_scaled_slogdet(*hankel_kernel(beta, mant[block], expo[block]))
+    ok = sign > 0
+    log_det = logabs[ok] + _LN2 * top[ok, :, 0].sum(axis=1)
+    gap, trace = np.zeros(len(ok)), np.zeros(len(ok))
+    gap[ok] = np.exp(log_pref[block][ok] + 0.5 * beta * log_det)
+    if dmant is not None:
+        dm, de = hankel_kernel(beta, dmant[block][ok], dexpo[block][ok])
+        sol = np.linalg.solve(scaled[ok], np.ldexp(dm, de - top[ok]))
+        for i in range(scaled.shape[1]):  # a fixed summation order, whatever the block size
+            trace[ok] += sol[:, i, i]
+    return gap, trace
 
 
 # the Lanczos iteration stops once the top Ritz pair's residual is below

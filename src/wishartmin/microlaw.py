@@ -21,8 +21,10 @@ kernel times 1/4 and Jacobi's formula gives the density
 
 This module computes only the anti-diagonal values F_{kp-s}, s = i + j (and
 F_{kp-s+1}/4 for Q'), on a whole u grid at once with one vectorized series
-for every order (numerics.bessel_series); linalg.jacobi_gap_density
-assembles Q and Q' for one batched determinant and one batched solve.
+for every order (numerics.bessel_series), with no block loop:
+linalg.jacobi_gap_density factors Q and Q' a block of points at a time.
+micro_curve takes gap and pmin from one kernel evaluation; micro_gap skips
+Q' for the KS test of ``verify``.
 Verified against central differences of gap(u), against the rescaled exact
 finite-p law and against a high-precision oracle.
 """
@@ -44,6 +46,7 @@ __all__ = [
     "make_micro_config",
     "micro_gap",
     "micro_pmin",
+    "micro_curve",
     "micro_rescale",
 ]
 
@@ -93,40 +96,41 @@ def _order_table(q: np.ndarray, nus: np.ndarray):
     return mant, expo + np.where(neg, qe[:, None] * m, 0)
 
 
-def _check_u(u) -> np.ndarray:
+def _evaluate(u, micro: MicroConfig, derivative: bool):
+    """(gap, pmin) at u > 0, floats for a float u; pmin is None unless ``derivative``."""
     us = np.asarray(u, dtype=float)
     if us.ndim > 1:
         raise ValueError("expected a float or a 1-d array of u values")
     bad = us[~((us > 0) & np.isfinite(us))]
     if bad.size:
         raise ValueError(f"u must be positive and finite, got {bad.flat[0]}")
-    return us
-
-
-def _evaluate(us: np.ndarray, micro: MicroConfig, derivative: bool):
-    """(gap, pmin) on a 1-d u grid; pmin is None unless ``derivative``."""
+    grid = np.atleast_1d(us)
     beta, dim, kp = micro.beta, micro.kernel_dim, micro.kappa_prime
     # F_{kp-s} for s = first..2*dim: Q takes s >= 2, Q' is the kernel one order up
     first = 1 if derivative else 2
-    mant, expo = _order_table(0.25 * us, kp - np.arange(first, 2 * dim + 1))
+    mant, expo = _order_table(0.25 * grid, kp - np.arange(first, 2 * dim + 1))
     values = [mant[:, 2 - first:], expo[:, 2 - first:]]
     if derivative:
         values += [mant[:, :-1], expo[:, :-1] - 2]  # times 1/4, taken into the exponent
-    return jacobi_gap_density(-beta * us / 8.0, beta / 8.0, beta, *values)
+    gap, pmin = jacobi_gap_density(-beta * grid / 8.0, beta / 8.0, beta, *values)
+    if us.ndim:
+        return gap, pmin
+    return float(gap[0]), None if pmin is None else float(pmin[0])
 
 
 def micro_gap(u, micro: MicroConfig):
     """Limiting gap probability at rescaled position u > 0 (a float or a 1-d array)."""
-    us = _check_u(u)
-    gap = _evaluate(np.atleast_1d(us), micro, derivative=False)[0]
-    return float(gap[0]) if us.ndim == 0 else gap
+    return _evaluate(u, micro, derivative=False)[0]
 
 
 def micro_pmin(u, micro: MicroConfig):
     """Limiting smallest-eigenvalue density at u > 0 (a float or a 1-d array)."""
-    us = _check_u(u)
-    pmin = _evaluate(np.atleast_1d(us), micro, derivative=True)[1]
-    return float(pmin[0]) if us.ndim == 0 else pmin
+    return micro_curve(u, micro)[1]
+
+
+def micro_curve(u, micro: MicroConfig):
+    """(gap, pmin) at u > 0 from one kernel evaluation: floats for a float u, else arrays."""
+    return _evaluate(u, micro, derivative=True)
 
 
 def micro_rescale(t_values, spectrum: EmpiricalSpectrum, config: EnsembleConfig) -> np.ndarray:

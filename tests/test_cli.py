@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wishartmin import cli
+from wishartmin import cli, exactlaw, microlaw
 from wishartmin.cli import main
 from wishartmin.exactlaw import ExactLaw
+from wishartmin.microlaw import make_micro_config, micro_gap, micro_pmin
 from wishartmin.spectra import EmpiricalSpectrum, make_config
 
 from conftest import BENCH10_SPECTRUM
@@ -414,7 +415,7 @@ def test_out_in_missing_directory_exits_2(argv, tmp_path, capsys):
     [
         (["exact", "--beta", "2", "--p", "2", "--n", "3", "--spectrum", "{spectrum}",
           "--t-max", "1", "--t-steps", "3"], "ExactLaw"),
-        (["micro", "--beta", "2", "--gamma", "2", "--u-steps", "3"], "micro_gap"),
+        (["micro", "--beta", "2", "--gamma", "2", "--u-steps", "3"], "micro_curve"),
         (["sample", "--beta", "2", "--p", "2", "--n", "3", "--spectrum", "{spectrum}",
           "--count", "50", "--seed", "1"], "sample_batch"),
         (["verify", "--mode", "exact", "--beta", "2", "--p", "2", "--n", "3",
@@ -439,23 +440,26 @@ def test_library_value_error_exits_2(argv, target, monkeypatch, tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, spectrum_text",
     [
-        ["--mode", "exact", "--beta", "2", "--p", "2", "--n", "3", "--alpha", "0.1"],
-        ["--mode", "exact", "--beta", "2", "--p", "2", "--n", "3", "--ks-threshold", "-1"],
-        ["--mode", "exact", "--beta", "2", "--p", "2", "--n", "3", "--law-n", "1"],
+        (["--mode", "exact", "--beta", "2", "--p", "2", "--n", "3", "--alpha", "0.1"], TWO),
+        (["--mode", "exact", "--beta", "2", "--p", "2", "--n", "3", "--ks-threshold", "-1"],
+         TWO),
+        (["--mode", "exact", "--beta", "2", "--p", "2", "--n", "3", "--law-n", "1"], TWO),
         # gamma=44 needs Bessel order 89
-        ["--mode", "micro", "--beta", "1", "--p", "2", "--n", "91"],
+        (["--mode", "micro", "--beta", "1", "--p", "2", "--n", "91"], TWO),
+        # 1/1e-310 overflows the hard-edge rescale factor 4*p*eta
+        (["--mode", "micro", "--beta", "2", "--p", "2", "--n", "3"], SUBNORMAL),
     ],
-    ids=["alpha-0.1", "ks-threshold-negative", "law-n-1", "micro-n-91"],
+    ids=["alpha-0.1", "ks-threshold-negative", "law-n-1", "micro-n-91", "micro-subnormal"],
 )
-def test_verify_rejects_input_before_sampling(argv, monkeypatch, tmp_path, capsys):
+def test_verify_rejects_input_before_sampling(argv, spectrum_text, monkeypatch, tmp_path, capsys):
     def no_sampling(*args, **kwargs):
         pytest.fail("verify drew a batch for input it rejects")
 
     monkeypatch.setattr(cli, "sample_batch", no_sampling)
     spectrum = tmp_path / "spectrum.txt"
-    spectrum.write_text(TWO)
+    spectrum.write_text(spectrum_text)
     out = tmp_path / "out"
     argv = ["verify", *argv, "--spectrum", str(spectrum), "--count", "50", "--seed", "1",
             "--out", str(out)]
@@ -464,3 +468,33 @@ def test_verify_rejects_input_before_sampling(argv, monkeypatch, tmp_path, capsy
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert not out.exists() and not (tmp_path / "out.hist.csv").exists()
+
+
+def test_curve_commands_evaluate_the_kernel_once(bench10_file, tmp_path, monkeypatch):
+    # exact and micro take gap and pmin from one engine call, and each column
+    # has the bits of the library's gap-only and density grids
+    calls = []
+    for module in (exactlaw, microlaw):
+        def counted(*args, _engine=module.jacobi_gap_density, _name=module.__name__, **kwargs):
+            calls.append(_name)
+            return _engine(*args, **kwargs)
+
+        monkeypatch.setattr(module, "jacobi_gap_density", counted)
+    exact_csv, micro_csv = str(tmp_path / "exact.csv"), str(tmp_path / "micro.csv")
+    # 300 points: more than one block of the engine
+    assert main(["exact", "--beta", "1", "--p", "10", "--n", "21", "--spectrum", bench10_file,
+                 "--t-min", "0.5", "--t-max", "24", "--t-steps", "300", "--out", exact_csv]) == 0
+    assert calls == ["wishartmin.exactlaw"]
+    assert main(["micro", "--beta", "1", "--gamma", "5", "--u-min", "0.01", "--u-max", "40",
+                 "--u-steps", "300", "--out", micro_csv]) == 0
+    assert calls == ["wishartmin.exactlaw", "wishartmin.microlaw"]
+    monkeypatch.undo()
+
+    rows = read_csv(exact_csv)[1]
+    law = ExactLaw(EmpiricalSpectrum(BENCH10_SPECTRUM), make_config(1, 10, 21))
+    assert rows[:, 1].tolist() == law.gap_grid(rows[:, 0]).tolist()
+    assert rows[:, 2].tolist() == law.density_grid(rows[:, 0]).tolist()
+    rows = read_csv(micro_csv)[1]
+    micro = make_micro_config(1, 5)
+    assert rows[:, 1].tolist() == micro_gap(rows[:, 0], micro).tolist()
+    assert rows[:, 2].tolist() == micro_pmin(rows[:, 0], micro).tolist()

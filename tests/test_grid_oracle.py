@@ -76,7 +76,7 @@ def test_exact_grid_elements_equal_one_point_calls(exact_case):
         assert gaps[k] == law.gap_grid(np.array([t]))[0]
         assert gaps[k] == law.gap(float(t))
         assert pmins[k] == law.density(float(t))
-        assert pmins[k] == law.density_detailed(float(t)).value
+        assert pmins[k] == law.density_detailed(float(t))
 
 
 def test_micro_grid_matches_oracle(micro_case):

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wishartmin import linalg
+from wishartmin.exactlaw import ExactLaw
 from wishartmin.linalg import (
+    GRID_BLOCK,
     RITZ_RTOL,
     SignedLogMatrix,
     _GRAM_ROWS,
@@ -13,7 +16,9 @@ from wishartmin.linalg import (
     smallest_singular_value,
     sqrt_det_antisymmetric,
 )
+from wishartmin.microlaw import make_micro_config, micro_pmin
 from wishartmin.numerics import SLOG_ZERO, signedlog_from_float, signedlog_to_float
+from wishartmin.spectra import EmpiricalSpectrum, make_config
 
 from conftest import BENCH10_SPECTRUM
 from oracles import (
@@ -377,3 +382,27 @@ def test_ritz_step_against_decimal_eigenvector(m):
             assert residual > 0.5 * RITZ_RTOL * top[i]
     assert np.all(conv[norm2 == 0.0])
     assert 3 < np.count_nonzero(conv) < len(conv)
+
+
+@pytest.mark.parametrize("law", ["exact", "micro"])
+def test_grid_memory_is_bounded(law):
+    # kernel dimension 30: the (points, dim, dim) stacks outweigh the
+    # (points, polynomials) tables, and jacobi_gap_density builds them
+    # GRID_BLOCK points at a time for both laws
+    if law == "exact":
+        exact = ExactLaw(EmpiricalSpectrum((1.0, 2.0, 3.0)), make_config(2, 3, 33))
+        evaluate, lo, hi = exact.density_grid, 0.5, 20.0
+    else:
+        micro = make_micro_config(2, 30)
+        evaluate, lo, hi = (lambda us: micro_pmin(us, micro)), 5.0, 60.0
+    evaluate(np.linspace(lo, hi, 4))  # one-time set-up stays out of the peaks
+    peaks = []
+    for points in (GRID_BLOCK, 4 * GRID_BLOCK):
+        grid = np.linspace(lo, hi, points)
+        tracemalloc.start()
+        try:
+            evaluate(grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], [peak / 2**20 for peak in peaks]

@@ -46,3 +46,36 @@ def test_no_private_name_is_used_only_where_it_is_defined():
             if uses == 0:
                 dead.append(f"{module}: {name}")
     assert dead == []
+
+
+def _unused_imports(tree, lines):
+    """Names bound by a module-level import that nothing in the module reads.
+
+    ``from __future__`` imports, names listed in ``__all__`` and import
+    statements marked ``# noqa: F401`` are exempt.
+    """
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in read and name not in exported:
+                yield f"line {node.lineno}: {name}"
+
+
+def test_no_module_level_import_is_unused():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text()
+        unused += [f"{path.name} {hit}" for hit in _unused_imports(ast.parse(source), source.splitlines())]
+    assert unused == []
