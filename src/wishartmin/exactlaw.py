@@ -44,6 +44,7 @@ from .numerics import SignedLog
 from .spectra import (
     EmpiricalSpectrum,
     EnsembleConfig,
+    as_points,
     elementary_symmetric,
     inverse_trace_half_beta,
 )
@@ -142,7 +143,7 @@ class ExactLaw:
 
     def gap(self, t: float) -> float:
         """Gap probability E(t), 1 at t = 0 and decaying to 0: a 1-point gap_grid."""
-        return float(self.gap_grid(np.array([float(t)]))[0])
+        return self.gap_grid(t).item()
 
     def density(self, t: float) -> float:
         return self.density_detailed(t)
@@ -152,27 +153,23 @@ class ExactLaw:
 
         bench/tracer.py wraps this method by name.
         """
-        return float(self.density_grid(np.array([float(t)]))[0])
+        return self.density_grid(t).item()
 
     def gap_grid(self, ts) -> np.ndarray:
-        """Gap probability on a 1-d array of t values."""
+        """Gap probability on a 1-d array of t >= 0 (a float is a 1-point grid)."""
         return self._grid(ts, derivative=False)[0]
 
     def density_grid(self, ts) -> np.ndarray:
-        """Smallest-eigenvalue density -dE/dt on a 1-d array of t values."""
+        """Smallest-eigenvalue density -dE/dt on a 1-d array of t >= 0 (or a float)."""
         return self.curve(ts)[1]
 
     def curve(self, ts):
-        """(gap, density) arrays on a 1-d array of t values, from one kernel evaluation."""
+        """(gap, density) on a 1-d array of t >= 0 (or a float), from one kernel evaluation."""
         return self._grid(ts, derivative=True)
 
     def _grid(self, ts, derivative: bool):
         """(gap, density) from each t's f_s, and f_s' if ``derivative``; else density is None."""
-        ts = np.asarray(ts, dtype=float)
-        if ts.ndim != 1:
-            raise ValueError("expected a 1-d array of t values")
-        if np.any(~np.isfinite(ts)) or np.any(ts < 0):
-            raise ValueError("t values must be non-negative and finite")
+        ts = as_points(ts, "t")
         log_pref = -self.trace_rate * ts - self.config.gamma * self.log_det_lambda
         f = len(self._coeff_mant) // 2
         rows = slice(None) if derivative else slice(f)

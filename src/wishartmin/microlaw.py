@@ -39,7 +39,7 @@ from .linalg import jacobi_gap_density
 from .linalg import logdet_lu, sqrt_det_antisymmetric  # noqa: F401  wrapped by bench/tracer.py
 from .numerics import BESSEL_MAX_ORDER, bessel_series
 from .numerics import bessel_i_signedlog  # noqa: F401  wrapped by bench/tracer.py
-from .spectra import EmpiricalSpectrum, EnsembleConfig, as_integer, eta_scale
+from .spectra import EmpiricalSpectrum, EnsembleConfig, as_integer, as_points, eta_scale
 
 __all__ = [
     "MicroConfig",
@@ -97,14 +97,8 @@ def _order_table(q: np.ndarray, nus: np.ndarray):
 
 
 def _evaluate(u, micro: MicroConfig, derivative: bool):
-    """(gap, pmin) at u > 0, floats for a float u; pmin is None unless ``derivative``."""
-    us = np.asarray(u, dtype=float)
-    if us.ndim > 1:
-        raise ValueError("expected a float or a 1-d array of u values")
-    bad = us[~((us > 0) & np.isfinite(us))]
-    if bad.size:
-        raise ValueError(f"u must be positive and finite, got {bad.flat[0]}")
-    grid = np.atleast_1d(us)
+    """(gap, pmin) at u >= 0, floats for a float u; pmin is None unless ``derivative``."""
+    grid = as_points(u, "u")
     beta, dim, kp = micro.beta, micro.kernel_dim, micro.kappa_prime
     # F_{kp-s} for s = first..2*dim: Q takes s >= 2, Q' is the kernel one order up
     first = 1 if derivative else 2
@@ -113,23 +107,23 @@ def _evaluate(u, micro: MicroConfig, derivative: bool):
     if derivative:
         values += [mant[:, :-1], expo[:, :-1] - 2]  # times 1/4, taken into the exponent
     gap, pmin = jacobi_gap_density(-beta * grid / 8.0, beta / 8.0, beta, *values)
-    if us.ndim:
+    if np.ndim(u):
         return gap, pmin
     return float(gap[0]), None if pmin is None else float(pmin[0])
 
 
 def micro_gap(u, micro: MicroConfig):
-    """Limiting gap probability at rescaled position u > 0 (a float or a 1-d array)."""
+    """Limiting gap probability at rescaled position u >= 0 (a float or a 1-d array)."""
     return _evaluate(u, micro, derivative=False)[0]
 
 
 def micro_pmin(u, micro: MicroConfig):
-    """Limiting smallest-eigenvalue density at u > 0 (a float or a 1-d array)."""
+    """Limiting smallest-eigenvalue density at u >= 0 (a float or a 1-d array)."""
     return micro_curve(u, micro)[1]
 
 
 def micro_curve(u, micro: MicroConfig):
-    """(gap, pmin) at u > 0 from one kernel evaluation: floats for a float u, else arrays."""
+    """(gap, pmin) at u >= 0 from one kernel evaluation: floats for a float u, else arrays."""
     return _evaluate(u, micro, derivative=True)
 
 

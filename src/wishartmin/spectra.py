@@ -78,6 +78,21 @@ def as_integer(value, message: str) -> int:
     return int(value)
 
 
+def as_points(values, name: str) -> np.ndarray:
+    """A float or a 1-d array as a 1-d float grid of the laws' variable ``name``.
+
+    Both laws live on [0, inf): a negative, NaN or infinite point, and input
+    with more than one dimension, raise ValueError.
+    """
+    points = np.atleast_1d(np.asarray(values, dtype=float))
+    if points.ndim != 1:
+        raise ValueError(f"{name} must be a float or a 1-d array, got shape {points.shape}")
+    bad = points[~((points >= 0.0) & (points < math.inf))]
+    if bad.size:
+        raise ValueError(f"{name} must be finite and >= 0, got {bad[0]}")
+    return points
+
+
 def make_config(beta: int, p: int, n: int) -> EnsembleConfig:
     """Validate (beta, p, n) and derive gamma and the kernel dimension.
 

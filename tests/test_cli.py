@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wishartmin import cli, exactlaw, microlaw
+from wishartmin import cli, exactlaw, microlaw, sampler
 from wishartmin.cli import main
 from wishartmin.exactlaw import ExactLaw
 from wishartmin.microlaw import make_micro_config, micro_gap, micro_pmin
@@ -149,16 +149,21 @@ class TestMicro:
             assert gap == pytest.approx(math.exp(-u / 4.0), rel=1e-14)
             assert pmin == pytest.approx(0.25 * math.exp(-u / 4.0), rel=1e-14)
 
-    def test_u_min_zero_clamped_with_warning(self, tmp_path, capsys):
-        out = str(tmp_path / "clamp.csv")
+    def test_u_min_zero_row(self, tmp_path, capsys):
+        # u = 0 is in the law's domain: gap 1 and, at gamma > 0, density 0
+        out = tmp_path / "zero.csv"
         rc = main([
             "micro", "--beta", "2", "--gamma", "2",
-            "--u-min", "0", "--u-max", "10", "--u-steps", "10", "--out", out,
+            "--u-min", "0", "--u-max", "10", "--u-steps", "3", "--out", str(out),
         ])
         assert rc == 0
-        assert "clamped" in capsys.readouterr().err
-        _, rows = read_csv(out)
-        assert rows[0, 0] == pytest.approx(1e-3)
+        assert capsys.readouterr().err == ""
+        assert out.read_text().splitlines()[2] == "0.0,1.0,0.0"
+
+    def test_u_min_defaults_to_zero(self, tmp_path):
+        out = str(tmp_path / "default.csv")
+        assert main(["micro", "--beta", "2", "--gamma", "2", "--u-steps", "3", "--out", out]) == 0
+        assert read_csv(out)[1][:, 0].tolist() == [0.0, 20.0, 40.0]
 
     def test_beta1_curve(self, tmp_path):
         out = str(tmp_path / "b1.csv")
@@ -280,6 +285,23 @@ class TestVerify:
         assert note.startswith("alpha=0.1 has no tabulated KS quantile; threshold set to 0.5")
         assert "nan" not in note
 
+    @pytest.mark.parametrize("mode", ["exact", "micro"])
+    def test_threshold_note_names_a_limiting_law_in_micro_mode_only(self, mode, small_file,
+                                                                     tmp_path):
+        out = str(tmp_path / f"{mode}.json")
+        rc = main([
+            "verify", "--mode", mode, "--beta", "2", "--p", "3", "--n", "5",
+            "--spectrum", small_file, "--count", "200", "--seed", "2",
+            "--ks-threshold", "0.5", "--out", out,
+        ])
+        assert rc == 0
+        with open(out) as fh:
+            note = json.load(fh)["threshold_note"]
+        want = f"alpha-based threshold {round(1.63 / math.sqrt(200), 6)} overridden to 0.5"
+        if mode == "micro":
+            want += ": the reference law is a limiting law and carries finite-size bias at p=3"
+        assert note == want
+
     def test_alpha_05_threshold(self, small_file, tmp_path):
         out = str(tmp_path / "a05.json")
         rc = main([
@@ -333,6 +355,7 @@ def test_subcommand_required():
 
 
 TWO = "1.0\n2.0\n"
+THREE = "1.0\n2.0\n4.0\n"
 SUBNORMAL = "1e-310\n2.0\n"
 
 
@@ -370,12 +393,17 @@ SUBNORMAL = "1e-310\n2.0\n"
         # one sample gives no histogram
         (["verify", "--mode", "exact", "--beta", "2", "--p", "2", "--n", "3",
           "--spectrum", "{spectrum}", "--count", "1", "--seed", "1"], TWO),
+        # a grid point below 0 is outside both laws' domain
+        (["micro", "--beta", "2", "--gamma", "2", "--u-min", "-1", "--u-steps", "3"], TWO),
+        (["exact", "--beta", "2", "--p", "2", "--n", "3", "--spectrum", "{spectrum}",
+          "--t-min", "-1", "--t-max", "1", "--t-steps", "3"], TWO),
     ],
     ids=["micro-gamma-40", "verify-micro-n-91", "micro-u-max-inf", "exact-t-max-inf",
          "micro-u-1e6", "exact-subnormal-eigenvalue",
          "verify-micro-subnormal-eigenvalue", "exact-e-k-underflow",
          "verify-e-k-underflow", "verify-ks-threshold-nan",
-         "verify-ks-threshold-negative", "verify-count-1"],
+         "verify-ks-threshold-negative", "verify-count-1", "micro-u-min-negative",
+         "exact-t-min-negative"],
 )
 def test_rejected_input_exits_2(argv, spectrum_text, tmp_path, capsys):
     spectrum = tmp_path / "spectrum.txt"
@@ -383,8 +411,37 @@ def test_rejected_input_exits_2(argv, spectrum_text, tmp_path, capsys):
     out = tmp_path / "out"
     argv = [a.format(spectrum=spectrum) for a in argv] + ["--out", str(out)]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--t-max", "1", "--t-steps", "3"],
+        ["sample", "--count", "50", "--seed", "1"],
+    ],
+    ids=["exact", "sample"],
+)
+def test_spectrum_longer_than_p_exits_2_before_drawing(argv, monkeypatch, tmp_path, capsys):
+    # ExactLaw and the sampler's plan check the spectrum against --p, before any draw;
+    # test_verify_rejects_input_before_sampling has the verify cases
+    def no_draw(*args, **kwargs):
+        pytest.fail("a sample was drawn for a spectrum that does not match --p")
+
+    monkeypatch.setattr(sampler, "RngStream", no_draw)
+    spectrum = tmp_path / "spectrum.txt"
+    spectrum.write_text(THREE)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = [argv[0], "--beta", "2", "--p", "2", "--n", "3", "--spectrum", str(spectrum),
+            *argv[1:], "--out", str(out_dir / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: spectrum has p=3 but config expects p=2\n"
+    assert list(out_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -410,23 +467,31 @@ def test_out_in_missing_directory_exits_2(argv, tmp_path, capsys):
     assert not missing.exists()
 
 
+LIBRARY_CALLS = {
+    "exact": (["exact", "--beta", "2", "--p", "2", "--n", "3", "--spectrum", "{spectrum}",
+               "--t-max", "1", "--t-steps", "3"], "ExactLaw"),
+    "micro": (["micro", "--beta", "2", "--gamma", "2", "--u-steps", "3"], "micro_curve"),
+    "sample": (["sample", "--beta", "2", "--p", "2", "--n", "3", "--spectrum", "{spectrum}",
+                "--count", "50", "--seed", "1"], "sample_batch"),
+    "verify": (["verify", "--mode", "exact", "--beta", "2", "--p", "2", "--n", "3",
+                "--spectrum", "{spectrum}", "--count", "50", "--seed", "1"], "ks_statistic"),
+}
+
+
 @pytest.mark.parametrize(
-    "argv, target",
+    "argv, target, error",
     [
-        (["exact", "--beta", "2", "--p", "2", "--n", "3", "--spectrum", "{spectrum}",
-          "--t-max", "1", "--t-steps", "3"], "ExactLaw"),
-        (["micro", "--beta", "2", "--gamma", "2", "--u-steps", "3"], "micro_curve"),
-        (["sample", "--beta", "2", "--p", "2", "--n", "3", "--spectrum", "{spectrum}",
-          "--count", "50", "--seed", "1"], "sample_batch"),
-        (["verify", "--mode", "exact", "--beta", "2", "--p", "2", "--n", "3",
-          "--spectrum", "{spectrum}", "--count", "50", "--seed", "1"], "ks_statistic"),
+        pytest.param(argv, target, error,
+                     id=command if error is ValueError else f"{command}-{error.__name__}")
+        for command, (argv, target) in LIBRARY_CALLS.items()
+        for error in (ValueError, OverflowError, MemoryError)
     ],
-    ids=["exact", "micro", "sample", "verify"],
 )
-def test_library_value_error_exits_2(argv, target, monkeypatch, tmp_path, capsys):
-    # main, not each command, turns a library's ValueError into exit 2
+def test_library_value_error_exits_2(argv, target, error, monkeypatch, tmp_path, capsys):
+    # main, not each command, turns a library's ValueError, OverflowError or
+    # MemoryError (a grid or batch too large to allocate) into exit 2
     def boom(*args, **kwargs):
-        raise ValueError("boom")
+        raise error("boom")
 
     monkeypatch.setattr(cli, target, boom)
     spectrum = tmp_path / "spectrum.txt"
@@ -450,8 +515,12 @@ def test_library_value_error_exits_2(argv, target, monkeypatch, tmp_path, capsys
         (["--mode", "micro", "--beta", "1", "--p", "2", "--n", "91"], TWO),
         # 1/1e-310 overflows the hard-edge rescale factor 4*p*eta
         (["--mode", "micro", "--beta", "2", "--p", "2", "--n", "3"], SUBNORMAL),
+        # three eigenvalues for --p 2
+        (["--mode", "exact", "--beta", "2", "--p", "2", "--n", "3"], THREE),
+        (["--mode", "micro", "--beta", "2", "--p", "2", "--n", "3"], THREE),
     ],
-    ids=["alpha-0.1", "ks-threshold-negative", "law-n-1", "micro-n-91", "micro-subnormal"],
+    ids=["alpha-0.1", "ks-threshold-negative", "law-n-1", "micro-n-91", "micro-subnormal",
+         "exact-p-mismatch", "micro-p-mismatch"],
 )
 def test_verify_rejects_input_before_sampling(argv, spectrum_text, monkeypatch, tmp_path, capsys):
     def no_sampling(*args, **kwargs):

@@ -67,9 +67,15 @@ class TestMicroGap:
             want = math.exp(-u / 4.0) * float(fraction_bessel_i(0, Fraction(math.sqrt(u))))
             assert micro_gap(u, m) == pytest.approx(want, rel=1e-13)
 
-    def test_rejects_non_positive_u(self):
-        with pytest.raises(ValueError):
-            micro_gap(0.0, make_micro_config(2, 1))
+    def test_rejects_negative_u(self):
+        with pytest.raises(ValueError, match="u must be finite and >= 0, got -0.1"):
+            micro_gap(-0.1, make_micro_config(2, 1))
+
+    @pytest.mark.parametrize("beta,gamma", [(2, 1), (2, 2), (2, 24), (1, 1), (1, 3)])
+    def test_is_one_at_zero(self, beta, gamma):
+        m = make_micro_config(beta, gamma)
+        assert micro_gap(0.0, m) == 1.0
+        assert micro_pmin(0.0, m) == 0.0
 
     def test_series_overflow_raises(self):
         with pytest.raises(ValueError, match="u = 1000000.0"):
@@ -130,9 +136,14 @@ class TestMicroPmin:
         integral = adaptive_quadrature(lambda u: micro_pmin(u, m), 1e-9, u_max, 1e-9)
         assert integral == pytest.approx(1.0 - micro_gap(u_max, m), abs=1e-7)
 
-    def test_rejects_non_positive_u(self):
-        with pytest.raises(ValueError):
-            micro_pmin(0.0, make_micro_config(2, 1))
+    def test_rejects_negative_u(self):
+        with pytest.raises(ValueError, match="u must be finite and >= 0, got -0.1"):
+            micro_pmin(-0.1, make_micro_config(2, 1))
+
+    @pytest.mark.parametrize("beta,want", [(2, 0.25), (1, 0.125)])
+    def test_gamma0_at_zero_is_rate(self, beta, want):
+        # pmin = (beta/8) exp(-beta u/8): 1/4 and 1/8 at u = 0
+        assert micro_pmin(0.0, make_micro_config(beta, 0)) == want
 
 
 class TestMicroRescale:

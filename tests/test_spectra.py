@@ -1,10 +1,12 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from wishartmin import microlaw
 from wishartmin.exactlaw import ExactLaw
 from wishartmin.spectra import (
     EmpiricalSpectrum,
@@ -242,3 +244,39 @@ class TestSpectrumFile:
         path = tmp_path / "spec.txt"
         path.write_text("# benchmark\n" + "\n".join(str(v) for v in BENCH10_SPECTRUM) + "\n")
         assert load_spectrum(path).lambdas == BENCH10_SPECTRUM
+
+
+POINT_LAW = ExactLaw(EmpiricalSpectrum((1.0, 2.0, 4.0)), make_config(1, 3, 6))
+POINT_MICRO = microlaw.make_micro_config(1, 2)
+# every public evaluation of both laws, with the name of its variable
+POINT_CALLS = {
+    "gap": (POINT_LAW.gap, "t"),
+    "density": (POINT_LAW.density, "t"),
+    "gap_grid": (POINT_LAW.gap_grid, "t"),
+    "density_grid": (POINT_LAW.density_grid, "t"),
+    "curve": (POINT_LAW.curve, "t"),
+    "micro_gap": (lambda u: microlaw.micro_gap(u, POINT_MICRO), "u"),
+    "micro_pmin": (lambda u: microlaw.micro_pmin(u, POINT_MICRO), "u"),
+    "micro_curve": (lambda u: microlaw.micro_curve(u, POINT_MICRO), "u"),
+}
+
+
+class TestAsPoints:
+    @pytest.mark.parametrize("call", POINT_CALLS)
+    @pytest.mark.parametrize(
+        "bad, got",
+        [(-0.1, "finite and >= 0, got -0.1"), (math.nan, "finite and >= 0, got nan"),
+         (math.inf, "finite and >= 0, got inf"), (-math.inf, "finite and >= 0, got -inf"),
+         (np.zeros((2, 2)), "a float or a 1-d array, got shape (2, 2)")],
+        ids=["negative", "nan", "inf", "-inf", "2-d"],
+    )
+    def test_laws_reject_points_outside_the_domain(self, call, bad, got):
+        evaluate, name = POINT_CALLS[call]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {got}')}$"):
+            evaluate(bad)
+
+    @pytest.mark.parametrize("call", POINT_CALLS)
+    def test_laws_accept_zero(self, call):
+        evaluate, _ = POINT_CALLS[call]
+        values = np.hstack([evaluate(0.0)])  # gap, density or both, as floats or 1-point arrays
+        assert np.all(np.isfinite(values) & (values >= 0.0))
