@@ -15,8 +15,8 @@ library rejects, such as a grid point below 0 or a spectrum that is not
 ``--p`` long), ``ArithmeticError`` (an input that overflows the numerics)
 and ``MemoryError`` (a grid or batch too large to allocate) to exit 2.
 ``verify`` builds its law, the hard-edge rescale factor and the KS
-threshold before it draws the batch, so bad input exits before the
-sampling it would waste.
+threshold, and allocates the histogram's bin edges, before it draws the
+batch, so bad input exits before the sampling it would waste.
 """
 
 from __future__ import annotations
@@ -141,6 +141,8 @@ def _grid(lo: float, hi: float, steps: int, name: str) -> np.ndarray:
         raise CliError(f"--{name}-min and --{name}-max must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise CliError(f"--{name}-min must be below --{name}-max, got [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise CliError(f"--{name}-max minus --{name}-min must be finite, got [{lo}, {hi}]")
     return np.linspace(lo, hi, steps)
 
 
@@ -199,6 +201,9 @@ def cmd_verify(args, argv) -> int:
         density_at = lambda us: micro_pmin(us, micro)  # noqa: E731
         scale = micro_rescale(1.0, spectrum, config)
     threshold, note = ks_threshold(args.alpha, args.count, args.ks_threshold)
+    # the histogram's bin edges, allocated before the batch is drawn: a --bins
+    # too large for memory fails (MemoryError, exit 2) without the sampling
+    np.empty(args.bins + 1)
     batch = sample_batch(spectrum, config, args.count, args.seed)
     positions = batch.values * scale
     cdf_vals = 1.0 - gap_at(positions)

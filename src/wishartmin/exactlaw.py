@@ -170,7 +170,8 @@ class ExactLaw:
     def _grid(self, ts, derivative: bool):
         """(gap, density) from each t's f_s, and f_s' if ``derivative``; else density is None."""
         ts = as_points(ts, "t")
-        log_pref = -self.trace_rate * ts - self.config.gamma * self.log_det_lambda
+        with np.errstate(over="ignore"):  # -inf past double range is the gap 0 it stands for
+            log_pref = -self.trace_rate * ts - self.config.gamma * self.log_det_lambda
         f = len(self._coeff_mant) // 2
         rows = slice(None) if derivative else slice(f)
         mant, expo = _horner(self._coeff_mant[rows], self._coeff_exp[rows], ts)

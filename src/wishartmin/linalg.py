@@ -15,8 +15,12 @@ after an integer shift of each column.
 The sampler hands over no data matrix W, only the p x p lower-triangular
 factor T = Lambda^(1/2) L of its LQ decomposition, which has the same
 singular values (Bartlett 1933; Edelman 1989).  sigma_min(T) is
-1 / sigma_max(A) for A = T^-1, inverted blockwise after an exact
-power-of-two scaling.  sigma_max(A)**2 is the top eigenvalue of A^H A.  Up
+1 / sigma_max(A) for A = T^-1, inverted after an exact power-of-two
+scaling: diagonal blocks of at most _INV_LEAF rows by row substitution,
+all blocks of one size in one batched pass, and the rest by block
+products.  LAPACK's general inverse would run a pivoted LU on a matrix
+that is already triangular.  sigma_max(A)**2 is the top eigenvalue of
+A^H A.  Up
 to _GRAM_ROWS rows, a constant per dtype (64 real, 32 complex), it comes
 from one LAPACK eigvalsh of that Gram matrix, the faster path at those
 sizes, and above from a Lanczos iteration with an eigh Ritz pair per
@@ -231,7 +235,7 @@ def _jacobi_block(block, log_pref, beta, mant, expo, dmant, dexpo):
 # RITZ_RTOL times its Ritz value; that Ritz value is then within the same
 # relative distance of an eigenvalue of A^H A, so sigma_min within half of it
 RITZ_RTOL = 2.0 ** -45
-# diagonal blocks up to this size are inverted by one LAPACK call
+# diagonal blocks up to this size are inverted by row substitution
 _INV_LEAF = 32
 # matrices up to this many rows, per dtype, take their top eigenvalue from one
 # eigvalsh of the Gram matrix, and larger ones from Lanczos.  On one CPU the
@@ -251,13 +255,14 @@ def smallest_singular_value(t):
     A 2-d matrix gives a float; a (k, p, p) stack gives the k values as an
     array, each independent of the rest of the stack.  A matrix with a zero
     diagonal entry is singular and gives exactly 0.  Otherwise it is scaled
-    by the power of two that puts its smallest diagonal entry in [1, 2),
-    inverted blockwise in place (``_tril_invert``), and sigma_min is
-    1 / sqrt(lambda_max(A^H A)) for that inverse A, from ``_top_eigenvalue``
-    (one Gram-matrix eigvalsh up to ``_GRAM_ROWS`` rows, Lanczos above),
-    which scales A once more.  Neither scaling rounds, and together they
-    keep every intermediate inside double range unless A itself is not
-    representable, which raises OverflowError.
+    by the power of two that puts its smallest diagonal entry in [1, 2) and
+    inverted in place (``_tril_invert``): row substitution on diagonal
+    blocks of at most ``_INV_LEAF`` rows, block products above.  sigma_min
+    is 1 / sqrt(lambda_max(A^H A)) for that inverse A, from
+    ``_top_eigenvalue`` (one Gram-matrix eigvalsh up to ``_GRAM_ROWS``
+    rows, Lanczos above), which scales A once more.  Neither scaling
+    rounds, and together they keep every intermediate inside double range
+    unless A itself is not representable, which raises OverflowError.
     """
     t = np.asarray(t)
     if t.ndim not in (2, 3) or t.shape[-2] != t.shape[-1]:
@@ -275,7 +280,10 @@ def smallest_singular_value(t):
     if np.any(live):
         e = np.frexp(diag[live])[1] - 1
         a = _scaled(stack if np.all(live) else stack[live], -e)
-        _tril_invert(a, 0, p)
+        # an inverse past double range leaves inf or nan entries, and
+        # _top_eigenvalue raises OverflowError on them
+        with np.errstate(over="ignore", invalid="ignore"):
+            _tril_invert(a)
         theta, f = _top_eigenvalue(a)
         values[live] = np.ldexp(1.0 / np.sqrt(theta), e - f)
     return float(values[0]) if t.ndim == 2 else values
@@ -302,21 +310,56 @@ def _scaled(x, exp):
     return out
 
 
-def _tril_invert(s, lo, hi):
-    """Overwrite the block s[:, lo:hi, lo:hi] of each lower-triangular matrix of s with its inverse.
+def _tril_invert(s):
+    """Overwrite each lower-triangular matrix of the stack s with its inverse.
 
-    For a block [[A, 0], [C, D]] the inverse is [[A^-1, 0], [-D^-1 C A^-1, D^-1]]:
-    A and D are inverted in place first, and C is then replaced by the product.
-    Blocks of at most ``_INV_LEAF`` rows go to one batched LAPACK inverse
-    each, and everything above them is matrix products.
+    The matrix is halved recursively into blocks [[A, 0], [C, D]] down to
+    diagonal leaves of at most ``_INV_LEAF`` rows.  Every leaf is inverted
+    in place by row substitution (``_substitute``), all leaves of one size
+    together: for p <= ``_INV_LEAF`` the leaf is s itself, and larger
+    matrices copy their leaves of each size into one contiguous stack and
+    back.  Then, bottom up, each block's C is replaced by the lower-left
+    block -D^-1 C A^-1 of its inverse, two matrix products.
     """
-    if hi - lo <= _INV_LEAF:
-        s[:, lo:hi, lo:hi] = np.linalg.inv(s[:, lo:hi, lo:hi])
+    p = s.shape[1]
+    if p <= _INV_LEAF:
+        _substitute(s)
         return
-    mid = (lo + hi) // 2
-    _tril_invert(s, lo, mid)
-    _tril_invert(s, mid, hi)
-    s[:, mid:hi, lo:mid] = -(s[:, mid:hi, mid:hi] @ (s[:, mid:hi, lo:mid] @ s[:, lo:mid, lo:mid]))
+    leaves, joins = {}, []  # first rows of the leaves by size; splits after those in their halves
+
+    def split(lo, hi):
+        if hi - lo <= _INV_LEAF:
+            leaves.setdefault(hi - lo, []).append(lo)
+            return
+        mid = (lo + hi) // 2
+        split(lo, mid)
+        split(mid, hi)
+        joins.append((lo, mid, hi))
+
+    split(0, p)
+    for size, starts in leaves.items():
+        blocks = [(slice(None), slice(lo, lo + size), slice(lo, lo + size)) for lo in starts]
+        stack = np.stack([s[b] for b in blocks], axis=1)
+        _substitute(stack.reshape(-1, size, size))
+        for j, b in enumerate(blocks):
+            s[b] = stack[:, j]
+    del stack  # not held through the block products' temporaries
+    for lo, mid, hi in joins:
+        s[:, mid:hi, lo:mid] = -(s[:, mid:hi, mid:hi] @ (s[:, mid:hi, lo:mid] @ s[:, lo:mid, lo:mid]))
+
+
+def _substitute(a):
+    """Overwrite each lower-triangular matrix T of the contiguous stack a with its inverse A.
+
+    Row i of T A = I gives A_i = (e_i - T_{i,<i} A_{<i}) / T_ii, so rows
+    are computed top down and row i of A overwrites row i of T, which no
+    later row reads.  Each A_ij is the forward substitution for T x = e_j,
+    so the computed A satisfies |T A - I| <= c * m * eps * |T| |A| for an
+    m-row matrix; the products are batched matmuls over the whole stack.
+    """
+    for i in range(a.shape[1]):
+        a[:, i, :i] = (a[:, i : i + 1, :i] @ a[:, :i, :i])[:, 0] / -a[:, i, i, None]
+        a[:, i, i] = 1.0 / a[:, i, i]
 
 
 def _start_vector(p):

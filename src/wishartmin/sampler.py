@@ -28,7 +28,9 @@ Gaussian squared when m is odd.  Nothing else is drawn, no basis rotation
 either, as the observable does not depend on it (above).  No draw is
 rejected, so the chunks of a batch stay aligned with the streams: one
 Philox generator is re-keyed to (seed, index) for each sample and fills
-that sample's row of uniforms, and the whole chunk then goes through one
+that sample's row of uniforms.  Its state dict is built once per batch,
+and each sample swaps in only its key, with the seed checked once and the
+indices taken from ``range``.  The whole chunk then goes through one
 Box-Muller transform, one ``log1p``, one segmented sum
 (``np.add.reduceat``) and one stacked sigma_min.  What depends on the
 batch alone is built once per batch (``_plan``): the layout counts, the
@@ -89,11 +91,20 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
 class RngStream:
     """Counter-based random stream; (seed, stream_index) fixes the sequence."""
 
-    __slots__ = ("seed", "stream_index", "_gen")
+    __slots__ = ("seed", "stream_index", "_gen", "_state")
 
     def __init__(self, seed: int, stream_index: int = 0):
         self.seed = as_integer(seed, "seed must be an integer, got {!r}")
         self._gen = np.random.Generator(np.random.Philox(key=0))
+        # the Philox state at the start of any stream: only the key differs
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         self.restart(stream_index)
 
     def restart(self, stream_index: int):
@@ -103,16 +114,13 @@ class RngStream:
         and its counter 0.  Re-keying costs a fraction of building a new
         generator, so one stream can serve a whole batch, index by index.
         """
-        self.stream_index = as_integer(stream_index, "stream_index must be an integer, got {!r}")
-        self._gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0),
-                      "key": (self.seed & _MASK64, self.stream_index & _MASK64)},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self._rekey(as_integer(stream_index, "stream_index must be an integer, got {!r}"))
+
+    def _rekey(self, stream_index: int):
+        """``restart`` for an int index, unchecked: ``sample_batch`` takes its indices from range."""
+        self.stream_index = stream_index
+        self._state["state"]["key"] = (self.seed & _MASK64, stream_index & _MASK64)
+        self._gen.bit_generator.state = self._state
 
     def uniforms(self, out: np.ndarray):
         """Fill the contiguous float64 array ``out`` with the next uniforms in [0, 1)."""
@@ -263,7 +271,7 @@ def sample_batch(
     for start in range(0, count, plan.rows):
         chunk = u[: min(plan.rows, count - start)]
         for i, row in enumerate(chunk):
-            stream.restart(start + i)
+            stream._rekey(start + i)
             stream.uniforms(row)
         t = _triangular_factors(chunk, plan, factors[: len(chunk)])
         values[start : start + len(chunk)] = smallest_singular_value(t) ** 2

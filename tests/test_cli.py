@@ -539,6 +539,58 @@ def test_verify_rejects_input_before_sampling(argv, spectrum_text, monkeypatch, 
     assert not out.exists() and not (tmp_path / "out.hist.csv").exists()
 
 
+def test_verify_rejects_unallocatable_bins_before_sampling(monkeypatch, tmp_path, capsys):
+    # the bin edges are allocated before the batch of 200,000 is drawn
+    def no_sampling(*args, **kwargs):
+        pytest.fail("verify drew a batch for a --bins it cannot allocate")
+
+    monkeypatch.setattr(cli, "sample_batch", no_sampling)
+    spectrum = tmp_path / "spectrum.txt"
+    spectrum.write_text(THREE)
+    out = tmp_path / "out"
+    argv = ["verify", "--mode", "exact", "--beta", "2", "--p", "3", "--n", "5",
+            "--spectrum", str(spectrum), "--count", "200000", "--bins", "100000000000",
+            "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate ") and captured.err.count("\n") == 1
+    assert not out.exists() and not (tmp_path / "out.hist.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr, rows",
+    [
+        (["micro", "--beta", "2", "--gamma", "2", "--u-min=-1.7e308", "--u-max", "1.7e308",
+          "--u-steps", "3"], 2,
+         "error: --u-max minus --u-min must be finite, got [-1.7e+308, 1.7e+308]\n", None),
+        (["exact", "--beta", "2", "--p", "2", "--n", "3", "--spectrum", "{spectrum}",
+          "--t-max", "1.7e308", "--t-steps", "3"], 0, "",
+         [[0.0, 1.0, 0.0], [8.5e307, 0.0, 0.0], [1.7e308, 0.0, 0.0]]),
+    ],
+    ids=["micro-span-overflows", "exact-t-max-1.7e308"],
+)
+def test_grid_ends_near_double_max_print_no_warnings(argv, code, stderr, rows, tmp_path):
+    # a separate process, so that numpy's RuntimeWarnings would reach its stderr
+    spectrum = tmp_path / "spectrum.txt"
+    spectrum.write_text(TWO)
+    out = tmp_path / "out.csv"
+    argv = [a.format(spectrum=spectrum) for a in argv] + ["--out", str(out)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "wishartmin.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (code, stderr, "")
+    if rows is None:
+        assert not out.exists()
+    else:
+        assert read_csv(out)[1].tolist() == rows
+
+
 def test_curve_commands_evaluate_the_kernel_once(bench10_file, tmp_path, monkeypatch):
     # exact and micro take gap and pmin from one engine call, and each column
     # has the bits of the library's gap-only and density grids

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,11 +27,15 @@ from oracles import (
     cofactor_det,
     decimal_smallest_singular_value_2x2,
     decimal_tridiagonal_top,
+    fraction_det_solve,
     hermitian_smallest_eigenvalue,
     jacobi_smallest_eigenvalue,
     pfaffian_recursive,
     tril_factor,
 )
+
+
+EPS = np.finfo(float).eps
 
 
 def slog_matrix(a):
@@ -205,8 +211,13 @@ class TestSmallestSingularValue:
         assert not t.flags.c_contiguous
         assert smallest_singular_value(t) == smallest_singular_value(t.copy())
 
-    @pytest.mark.parametrize("case", ["complex-p4", "bench10-p10", "complex-p40", "bartlett-p72"])
+    @pytest.mark.parametrize(
+        "case",
+        ["complex-p4", "bench10-p10", "bartlett-p33", "complex-p40", "bartlett-p72", "complex-p200"])
     def test_stack_matches_each_matrix(self, case):
+        # above _INV_LEAF rows the diagonal leaves of all matrices are inverted
+        # as one stack: one 16-row and one 17-row leaf at p=33, eight 25-row
+        # leaves at p=200
         rng = np.random.default_rng(3)
         if case.startswith("complex"):
             p = int(case[len("complex-p") :])
@@ -215,9 +226,10 @@ class TestSmallestSingularValue:
             # 60 Bartlett factors Lambda^(1/2) L at beta=1, n=21: one eigvalsh of the Gram stack
             t = bartlett_factors(np.random.default_rng(8), np.array(BENCH10_SPECTRUM), 21, 60)
         else:
-            # above _GRAM_ROWS, so Lanczos: the factors leave the iteration at
-            # different steps, and each step solves only the rest of the stack
-            t = bartlett_factors(rng, np.geomspace(0.5, 2.0, 72), 73, 12)
+            # at p=72, above _GRAM_ROWS, Lanczos: the factors leave the iteration
+            # at different steps, and each step solves only the rest of the stack
+            p = int(case[len("bartlett-p") :])
+            t = bartlett_factors(rng, np.geomspace(0.5, 2.0, p), p + 1, 12)
         s = smallest_singular_value(t)
         assert s.shape == (len(t),)
         assert s.tolist() == [smallest_singular_value(m) for m in t]
@@ -297,6 +309,16 @@ class TestSmallestSingularValue:
         big[-2:, -2:] = t
         assert smallest_singular_value(big) == pytest.approx(want, rel=1e-12)
 
+    def test_overflowing_inverse_raises_without_warnings(self):
+        # the inverse has an entry 1e600; numpy's floating-point warnings of
+        # the substitution stay silent, the OverflowError names the cause
+        t = np.array([[1.0, 0.0, 0.0], [1e300, 1.0, 0.0], [0.0, 1e300, 1.0]])
+        for x in (t, t.astype(complex)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(OverflowError, match="leaves double precision"):
+                    smallest_singular_value(x)
+
     def test_rejects_tall_matrix(self):
         with pytest.raises(ValueError):
             smallest_singular_value(np.zeros((3, 2)))
@@ -328,6 +350,46 @@ class TestSmallestSingularValue:
     def test_rejects_non_finite_in_stack(self):
         with pytest.raises(ValueError):
             smallest_singular_value(np.array([[[1.0]], [[1j * math.inf]]]))
+
+
+class TestTrilInvert:
+    @pytest.mark.parametrize("p", [3, 10, 33])
+    def test_matches_fraction_inverse(self, p):
+        # a Bartlett factor Lambda^(1/2) L, lambda from 1e-150 to 1e150 in
+        # random row order.  Every entry of the computed inverse is within
+        # p * eps * |X| |T| |X| of the exact inverse X, the forward error
+        # bound of substitution.  At p=33 two leaves and one block product
+        # make up the inverse
+        rng = np.random.default_rng(p)
+        lams = np.geomspace(1e-150, 1e150, p)
+        rng.shuffle(lams)
+        t = bartlett_factors(rng, lams, p + 1, 1)
+        x = t.copy()
+        linalg._tril_invert(x)
+        exact = fraction_det_solve([[Fraction(v) for v in row] for row in t[0].tolist()],
+                                   [[Fraction(int(i == j)) for j in range(p)] for i in range(p)])[1]
+        err = [[float(abs(Fraction(v) - e)) for v, e in zip(row, erow)]
+               for row, erow in zip(x[0].tolist(), exact)]
+        xf = np.array([[float(e) for e in row] for row in exact])
+        bound = p * EPS * (np.abs(xf) @ np.abs(t[0]) @ np.abs(xf))
+        assert np.all(np.array(err) <= bound)
+
+    @pytest.mark.parametrize("p", [64, 200])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_componentwise_residual(self, p, dtype):
+        # |X T - I| and |T X - I| <= p * eps * |X| |T| (resp. |T| |X|); the
+        # residual's own rounding is part of that bound
+        rng = np.random.default_rng(p)
+        t = np.tril(rng.standard_normal((3, p, p)))
+        if dtype is complex:
+            t = t + 1j * np.tril(rng.standard_normal((3, p, p)), -1)
+        t[:, np.arange(p), np.arange(p)] = np.sqrt(rng.chisquare(p + 1 - np.arange(p), size=(3, p)))
+        t *= np.sqrt(np.geomspace(1e-150, 1e150, p))[:, None]
+        x = t.copy()
+        linalg._tril_invert(x)
+        eye = np.eye(p)
+        assert np.all(np.abs(x @ t - eye) <= p * EPS * (np.abs(x) @ np.abs(t)))
+        assert np.all(np.abs(t @ x - eye) <= p * EPS * (np.abs(t) @ np.abs(x)))
 
 
 def _tridiagonal(alpha, beta2):

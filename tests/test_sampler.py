@@ -61,6 +61,15 @@ class TestRngStream:
         assert type(stream.seed) is int and type(stream.stream_index) is int
         assert stream.gaussians(4).tolist() == RngStream(1, 2).gaussians(4).tolist()
 
+    def test_key_is_seed_and_index_modulo_2_64(self):
+        # every stream starts at counter 0 of a Philox keyed (seed, index) mod 2**64
+        for seed, index in ((8, 3), (-3, 0), (8, (1 << 64) + 2)):
+            key = np.array([seed % (1 << 64), index % (1 << 64)], dtype=np.uint64)
+            want = np.random.Generator(np.random.Philox(key=key)).random(5)
+            got = np.empty(5)
+            RngStream(seed, index).uniforms(got)
+            assert got.tolist() == want.tolist()
+
     def test_pair_consistent_with_batch(self):
         stream = RngStream(5, 9)
         z = stream.gaussians(6)
@@ -238,6 +247,16 @@ class TestSampleBatch:
         monkeypatch.setattr(np.linalg, "svd", forbidden)
         for beta, n in ((1, 13), (2, 12)):
             sample_batch(EmpiricalSpectrum(BENCH10_SPECTRUM), make_config(beta, 10, n), 600, seed=2)
+
+    def test_never_calls_inv(self, monkeypatch):
+        # sigma_min inverts T by row substitution and block products, at any p
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg.inv called")
+
+        monkeypatch.setattr(np.linalg, "inv", forbidden)
+        for lams, n, count in ((BENCH10_SPECTRUM, 21, 600), ((1.0,) * 100 + (4.0,) * 100, 203, 2)):
+            for beta in (1, 2):
+                sample_batch(EmpiricalSpectrum(lams), make_config(beta, len(lams), n), count, seed=2)
 
     def test_restart_matches_new_stream(self):
         stream = RngStream(8, 0)
