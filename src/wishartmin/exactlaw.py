@@ -22,13 +22,14 @@ with r = tr(beta/(2*lam)) and Q' the term-wise t-derivative of the kernel.
 
 The coefficients of the 2*dim - 1 polynomials f_s and of their derivatives
 are built once, in one array pass, as float mantissas with separate binary
-exponents (kernel_coefficients).  The grid engine evaluates them by Horner's
-rule in that form on the whole grid, with no block loop: those values take
-O(points * polynomials) memory, and linalg.jacobi_gap_density blocks the
-kernel stacks.  ExactLaw.curve takes gap and density from one kernel
-evaluation; gap_grid skips Q' for the KS test of ``verify``.  t = 0 reads
-the constant coefficients directly.  The scalar gap and density, and the
-value of a single KernelPolynomial, are 1-point calls into that engine.
+exponents (kernel_coefficients).  The law hands linalg.jacobi_gap_density
+its grid, the constant -gamma * log det(lam), the rate r and a provider
+that evaluates them by Horner's rule in that form, one chunk of points at a
+time; the engine builds the prefactor and blocks the values and kernels.
+ExactLaw.curve takes gap and density from one engine call; gap_grid skips
+Q' for the KS test of ``verify``.  t = 0 reads the constant coefficients
+directly.  The scalar gap and density are 1-point calls into that engine,
+and the value of a single KernelPolynomial is a 1-point Horner run.
 """
 
 from __future__ import annotations
@@ -169,14 +170,16 @@ class ExactLaw:
 
     def _grid(self, ts, derivative: bool):
         """(gap, density) from each t's f_s, and f_s' if ``derivative``; else density is None."""
-        ts = as_points(ts, "t")
-        with np.errstate(over="ignore"):  # -inf past double range is the gap 0 it stands for
-            log_pref = -self.trace_rate * ts - self.config.gamma * self.log_det_lambda
         f = len(self._coeff_mant) // 2
         rows = slice(None) if derivative else slice(f)
-        mant, expo = _horner(self._coeff_mant[rows], self._coeff_exp[rows], ts)
-        values = (mant[:, :f], expo[:, :f]) + ((mant[:, f:], expo[:, f:]) if derivative else ())
-        return jacobi_gap_density(log_pref, self.trace_rate, self.config.beta, *values)
+        cm, ce = self._coeff_mant[rows], self._coeff_exp[rows]
+
+        def values(chunk):
+            mant, expo = _horner(cm, ce, chunk)
+            return (mant[:, :f], expo[:, :f]) + ((mant[:, f:], expo[:, f:]) if derivative else ())
+
+        return jacobi_gap_density(as_points(ts, "t"), -self.config.gamma * self.log_det_lambda,
+                                  self.trace_rate, self.config.beta, values, derivative)
 
 
 def _horner(cm, ce, ts):

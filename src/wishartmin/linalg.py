@@ -2,15 +2,16 @@
 
 Kernel matrices are tiny (dimension 2*gamma/beta, rarely above ~30) but their
 entries span enormous ranges.  Both laws' kernels are Hankel in form,
-Q_ij = w_ij * F_{i+j}, and each law hands this module only the values F_s
-on a whole grid, as float mantissas with separate binary exponents.
-hankel_kernel assembles Q and Q', each row is scaled by its largest exponent
-and the stack goes through one batched LAPACK determinant and one batched
-solve.  jacobi_gap_density does this GRID_BLOCK points at a time: the
-stacks, dim**2 floats a point, are the only arrays of either law that grow
-faster than its 2*dim - 1 values.  The determinant of a single
-SignedLogMatrix is the same row-scaled determinant of a 1-matrix stack,
-after an integer shift of each column.
+Q_ij = w_ij * F_{i+j}, and both laws' gap probabilities are
+exp(c - r*t) * det^(beta/2) Q.  jacobi_gap_density is the one engine for
+both: it takes the grid, c, r and a law's value provider, which returns F_s
+as float mantissas with separate binary exponents for VALUE_CHUNK points at
+a time.  hankel_kernel assembles Q and Q' from them GRID_BLOCK points at a
+time, each row is scaled by its largest exponent and the stack goes through
+one batched LAPACK determinant and one batched solve.  So no array of either
+law grows with the grid except the returned values.  The determinant of a
+single SignedLogMatrix is the same row-scaled determinant of a 1-matrix
+stack, after an integer shift of each column.
 
 The sampler hands over no data matrix W, only the p x p lower-triangular
 factor T = Lambda^(1/2) L of its LQ decomposition, which has the same
@@ -62,6 +63,11 @@ _LN2 = math.log(2.0)
 # grid points whose kernels jacobi_gap_density assembles, factors and solves
 # together: bounds its (points, dim, dim) stacks for both laws
 GRID_BLOCK = 256
+# grid points whose values a law's provider computes in one call.  Eight
+# kernel blocks: the Bessel series and Horner's rule run one Python-level
+# loop per call, which a 256-point chunk pays too often on an 801-point grid,
+# while 512- or 1024-point kernel blocks slow the small-kernel KS grids
+VALUE_CHUNK = 8 * GRID_BLOCK
 
 
 class SignedLogMatrix:
@@ -186,35 +192,50 @@ def hankel_kernel(beta, mant, expo):
     return weight * mant[:, s], np.where(weight != 0, expo[:, s], ZERO_EXP)
 
 
-def jacobi_gap_density(log_pref, rate, beta, mant, expo, dmant=None, dexpo=None):
-    """Gap exp(log_pref) * det(Q)^(beta/2) and density -d(gap)/dt on a grid of kernels.
+def jacobi_gap_density(points, log_const, rate, beta, values, derivative):
+    """Gap exp(log_const - rate*t) * det(Q)^(beta/2) and density -d(gap)/dt at the grid ``points``.
 
-    ``mant``/``expo`` hold the anti-diagonal values of Q as hankel_kernel
-    takes them, ``dmant``/``dexpo`` those of Q'.  Every row of Q and Q' is
-    scaled by the largest exponent in that row of Q, which leaves
-    tr(Q^-1 Q') unchanged, so Jacobi's formula gives the density as
+    ``values`` is the law's provider.  Called with a slice of at most
+    VALUE_CHUNK consecutive points, it returns (mant, expo), the
+    anti-diagonal values of Q at those points as hankel_kernel takes them,
+    followed by (dmant, dexpo), those of Q', when ``derivative`` is set.
+    Every row of Q and Q' is scaled by the largest exponent in that row of
+    Q, which leaves tr(Q^-1 Q') unchanged, so Jacobi's formula gives the
+    density as
 
         gap * (rate - (beta/2) * tr(Q^-1 Q')),
 
     one batched solve per block of GRID_BLOCK points.  Points whose
     determinant is not positive get gap 0; a negative density from
     cancellation where the gap is close to 1 is clamped to 0.  Returns the
-    pair (gap, density), with density None when no derivative is given.
-    Every point is computed independently, so an element does not depend on
-    the rest of the grid or on the blocking.
+    pair (gap, density), with density None unless ``derivative``.  Every
+    point is computed independently, so an element does not depend on the
+    rest of the grid or on the blocking.
     """
-    gap, trace = np.empty(mant.shape[0]), np.empty(mant.shape[0])
-    for start in range(0, len(gap), GRID_BLOCK):
-        block = slice(start, start + GRID_BLOCK)
-        gap[block], trace[block] = _jacobi_block(block, log_pref, beta, mant, expo, dmant, dexpo)
-    if dmant is None:
+    with np.errstate(over="ignore"):  # -inf past double range is the gap 0 it stands for
+        log_pref = log_const - rate * points
+    gap, trace = np.empty(len(points)), np.empty(len(points))
+    for start in range(0, len(points), VALUE_CHUNK):
+        chunk = slice(start, start + VALUE_CHUNK)
+        _jacobi_chunk(gap[chunk], trace[chunk], log_pref[chunk], beta, *values(points[chunk]))
+    if not derivative:
         return gap, None
     density = gap * (rate - 0.5 * beta * trace)
     return gap, np.where(density > 0.0, density, 0.0)
 
 
-def _jacobi_block(block, log_pref, beta, mant, expo, dmant, dexpo):
-    """(gap, tr(Q^-1 Q')) at the grid points ``block``; the trace is 0 when ``dmant`` is None.
+def _jacobi_chunk(gap, trace, log_pref, beta, *values):
+    """Fill one chunk's ``gap`` and ``trace`` views from its provider's ``values``, block by block.
+
+    Its own function, so no value array of one chunk outlives it into the next.
+    """
+    for start in range(0, len(gap), GRID_BLOCK):
+        block = slice(start, start + GRID_BLOCK)
+        gap[block], trace[block] = _jacobi_block(block, log_pref, beta, *values)
+
+
+def _jacobi_block(block, log_pref, beta, mant, expo, dmant=None, dexpo=None):
+    """(gap, tr(Q^-1 Q')) at the chunk's points ``block``; the trace is 0 when ``dmant`` is None.
 
     Its own function, so no array of one block outlives it into the next.
     """

@@ -19,10 +19,11 @@ kernel times 1/4 and Jacobi's formula gives the density
 
     pmin(u) = -d(gap)/du = gap(u) * (beta/8 - (beta/2) * tr(Q^-1 Q')).
 
-This module computes only the anti-diagonal values F_{kp-s}, s = i + j (and
-F_{kp-s+1}/4 for Q'), on a whole u grid at once with one vectorized series
-for every order (numerics.bessel_series), with no block loop:
-linalg.jacobi_gap_density factors Q and Q' a block of points at a time.
+This module provides only the anti-diagonal values F_{kp-s}, s = i + j (and
+F_{kp-s+1}/4 for Q'), with one vectorized series for every order
+(numerics.bessel_series).  linalg.jacobi_gap_density asks for them one chunk
+of u points at a time, with the constant 0 and the rate beta/8, and factors
+Q and Q' a block of points at a time.
 micro_curve takes gap and pmin from one kernel evaluation; micro_gap skips
 Q' for the KS test of ``verify``.
 Verified against central differences of gap(u), against the rescaled exact
@@ -98,15 +99,18 @@ def _order_table(q: np.ndarray, nus: np.ndarray):
 
 def _evaluate(u, micro: MicroConfig, derivative: bool):
     """(gap, pmin) at u >= 0, floats for a float u; pmin is None unless ``derivative``."""
-    grid = as_points(u, "u")
     beta, dim, kp = micro.beta, micro.kernel_dim, micro.kappa_prime
     # F_{kp-s} for s = first..2*dim: Q takes s >= 2, Q' is the kernel one order up
     first = 1 if derivative else 2
-    mant, expo = _order_table(0.25 * grid, kp - np.arange(first, 2 * dim + 1))
-    values = [mant[:, 2 - first:], expo[:, 2 - first:]]
-    if derivative:
-        values += [mant[:, :-1], expo[:, :-1] - 2]  # times 1/4, taken into the exponent
-    gap, pmin = jacobi_gap_density(-beta * grid / 8.0, beta / 8.0, beta, *values)
+    nus = kp - np.arange(first, 2 * dim + 1)
+
+    def values(chunk):
+        mant, expo = _order_table(0.25 * chunk, nus)
+        kernel = (mant[:, 2 - first:], expo[:, 2 - first:])
+        # Q' takes its 1/4 into the exponent
+        return kernel + ((mant[:, :-1], expo[:, :-1] - 2) if derivative else ())
+
+    gap, pmin = jacobi_gap_density(as_points(u, "u"), 0.0, beta / 8.0, beta, values, derivative)
     if np.ndim(u):
         return gap, pmin
     return float(gap[0]), None if pmin is None else float(pmin[0])

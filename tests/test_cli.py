@@ -591,6 +591,33 @@ def test_grid_ends_near_double_max_print_no_warnings(argv, code, stderr, rows, t
         assert read_csv(out)[1].tolist() == rows
 
 
+def test_verify_peak_memory_does_not_grow_with_the_kernel(bench10_file, tmp_path):
+    # 50,000 samples: the exact law's Horner values, 2*dim - 1 polynomials a
+    # point, are built one value chunk at a time, so kernel dimension 16
+    # (n=27) peaks within a few MiB of dimension 2 (n=13).  Each run is a
+    # child process that reports its own peak resident set
+    script = ("import resource, sys\n"
+              "from wishartmin.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+              "sys.exit(code)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    peaks = []
+    for n in (13, 27):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "verify", "--mode", "exact", "--beta", "1", "--p", "10",
+             "--n", str(n), "--spectrum", bench10_file, "--count", "50000", "--seed", "7",
+             "--out", str(tmp_path / f"verify{n}.json")],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stdout.split()[-1]) / 1024)  # ru_maxrss is in KiB on Linux
+    assert peaks[1] - peaks[0] <= 3.0, peaks
+
+
 def test_curve_commands_evaluate_the_kernel_once(bench10_file, tmp_path, monkeypatch):
     # exact and micro take gap and pmin from one engine call, and each column
     # has the bits of the library's gap-only and density grids

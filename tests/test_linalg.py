@@ -9,8 +9,8 @@ import pytest
 from wishartmin import linalg
 from wishartmin.exactlaw import ExactLaw
 from wishartmin.linalg import (
-    GRID_BLOCK,
     RITZ_RTOL,
+    VALUE_CHUNK,
     SignedLogMatrix,
     _GRAM_ROWS,
     _ritz_step,
@@ -18,7 +18,7 @@ from wishartmin.linalg import (
     smallest_singular_value,
     sqrt_det_antisymmetric,
 )
-from wishartmin.microlaw import make_micro_config, micro_pmin
+from wishartmin.microlaw import make_micro_config, micro_curve, micro_gap, micro_pmin
 from wishartmin.numerics import SLOG_ZERO, signedlog_from_float, signedlog_to_float
 from wishartmin.spectra import EmpiricalSpectrum, make_config
 
@@ -446,20 +446,43 @@ def test_ritz_step_against_decimal_eigenvector(m):
     assert 3 < np.count_nonzero(conv) < len(conv)
 
 
-@pytest.mark.parametrize("law", ["exact", "micro"])
-def test_grid_memory_is_bounded(law):
-    # kernel dimension 30: the (points, dim, dim) stacks outweigh the
-    # (points, polynomials) tables, and jacobi_gap_density builds them
-    # GRID_BLOCK points at a time for both laws
-    if law == "exact":
-        exact = ExactLaw(EmpiricalSpectrum((1.0, 2.0, 3.0)), make_config(2, 3, 33))
-        evaluate, lo, hi = exact.density_grid, 0.5, 20.0
-    else:
-        micro = make_micro_config(2, 30)
-        evaluate, lo, hi = (lambda us: micro_pmin(us, micro)), 5.0, 60.0
+def _grid_case(case, mode):
+    """(evaluate, lo, hi): a law's grid call in ``mode`` "gap" or "curve" and a span of its support."""
+    if case.startswith("exact"):
+        lams, beta, n, lo, hi = {
+            "exact": ((1.0, 2.0, 3.0), 2, 33, 0.5, 20.0),  # kernel dimension 30
+            "exact-dim10": (BENCH10_SPECTRUM, 1, 21, 0.5, 24.0),
+            "exact-dim16": (BENCH10_SPECTRUM, 1, 27, 0.5, 40.0),
+        }[case]
+        law = ExactLaw(EmpiricalSpectrum(lams), make_config(beta, len(lams), n))
+        return (law.gap_grid if mode == "gap" else law.curve), lo, hi
+    beta, gamma, lo, hi = {
+        "micro": (2, 30, 5.0, 60.0),  # kernel dimension 30
+        "micro-gamma5": (1, 5, 0.01, 100.0),  # kernel dimension 10
+    }[case]
+    micro = make_micro_config(beta, gamma)
+    return (lambda us: (micro_gap if mode == "gap" else micro_curve)(us, micro)), lo, hi
+
+
+@pytest.mark.parametrize("case, mode", [
+    pytest.param("exact", "curve", id="exact"),
+    pytest.param("micro", "curve", id="micro"),
+    pytest.param("exact-dim16", "gap", id="exact-dim16-gap"),
+    pytest.param("exact-dim16", "curve", id="exact-dim16-curve"),
+    pytest.param("micro-gamma5", "gap", id="micro-gamma5-gap"),
+])
+def test_grid_memory_is_bounded(case, mode):
+    # the laws' value providers run VALUE_CHUNK points at a time, and
+    # jacobi_gap_density factors their kernels GRID_BLOCK points at a time, so
+    # a grid of four chunks peaks no higher than one chunk.  At kernel
+    # dimension 30 ("exact", "micro") the (points, dim, dim) stacks outweigh
+    # the values; at dimension 16 the (points, polynomials) Horner values, and
+    # at the hard edge's beta=1, gamma=5 the (points, orders) Bessel table,
+    # outweigh the stacks
+    evaluate, lo, hi = _grid_case(case, mode)
     evaluate(np.linspace(lo, hi, 4))  # one-time set-up stays out of the peaks
     peaks = []
-    for points in (GRID_BLOCK, 4 * GRID_BLOCK):
+    for points in (VALUE_CHUNK, 4 * VALUE_CHUNK):
         grid = np.linspace(lo, hi, points)
         tracemalloc.start()
         try:
@@ -468,3 +491,23 @@ def test_grid_memory_is_bounded(law):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0], [peak / 2**20 for peak in peaks]
+
+
+@pytest.mark.parametrize("mode", ["gap", "curve"])
+@pytest.mark.parametrize("case", ["exact-dim10", "micro-gamma5"])
+def test_grid_elements_do_not_depend_on_the_blocking(case, mode):
+    # more than two value chunks, unsorted, with 0, repeated points, the deep
+    # left tail and the bulk: every element has the bits of a one-point call
+    # and of the same point in the reversed grid
+    evaluate, _, hi = _grid_case(case, mode)
+    rng = np.random.default_rng(16)
+    grid = np.concatenate([np.zeros(3), np.geomspace(1e-7 * hi, 0.05 * hi, 1500),
+                           rng.uniform(0.0, hi, 3500), np.full(5, 0.3 * hi)])
+    rng.shuffle(grid)
+    assert len(grid) > 2 * VALUE_CHUNK
+    values = np.array(evaluate(grid)).reshape(-1, len(grid))
+    backwards = np.array(evaluate(grid[::-1])).reshape(-1, len(grid))[:, ::-1]
+    assert values.tobytes() == backwards.tobytes()
+    for k in range(0, len(grid), 37):
+        point = np.array(evaluate(float(grid[k])), dtype=float).reshape(-1)
+        assert point.tobytes() == values[:, k].tobytes(), grid[k]
