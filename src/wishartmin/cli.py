@@ -10,10 +10,11 @@ Every output starts with a ``# command:`` comment holding the exact
 invocation, contains no timestamps, and is written atomically (temp file +
 rename), so identical invocations produce byte-identical files.  Exit codes:
 0 success, 1 verification failure, 2 usage or input error.  ``main`` maps
-every ``CliError`` (a check of this module), ``ValueError`` (an input the
-library rejects, such as a grid point below 0 or a spectrum that is not
-``--p`` long), ``ArithmeticError`` (an input that overflows the numerics)
-and ``MemoryError`` (a grid or batch too large to allocate) to exit 2.
+every ``ValueError`` (a check of this module, an unreadable or unwritable
+file, or an input the library rejects, such as a grid point below 0 or a
+spectrum that is not ``--p`` long), ``ArithmeticError`` (an input that
+overflows the numerics) and ``MemoryError`` (a grid or batch too large to
+allocate) to exit 2.
 ``verify`` builds its law, the hard-edge rescale factor and the KS
 threshold, and allocates the histogram's bin edges, before it draws the
 batch, so bad input exits before the sampling it would waste.
@@ -37,10 +38,6 @@ from .spectra import load_spectrum, make_config
 from .stats import build_histogram, ks_statistic, ks_threshold
 
 __all__ = ["main", "build_parser"]
-
-
-class CliError(Exception):
-    """Input or usage problem; maps to exit code 2."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,7 +113,7 @@ def _write_atomic(path: str, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         if isinstance(exc, OSError):
-            raise CliError(f"cannot write {path}: {exc}") from exc
+            raise ValueError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -128,21 +125,21 @@ def _load_inputs(args):
     try:
         spectrum = load_spectrum(args.spectrum)
     except OSError as exc:
-        raise CliError(f"cannot read spectrum file: {exc}") from exc
+        raise ValueError(f"cannot read spectrum file: {exc}") from exc
     except ValueError as exc:
-        raise CliError(f"bad spectrum file {args.spectrum}: {exc}") from exc
+        raise ValueError(f"bad spectrum file {args.spectrum}: {exc}") from exc
     return spectrum, make_config(args.beta, args.p, args.n)
 
 
 def _grid(lo: float, hi: float, steps: int, name: str) -> np.ndarray:
     if steps < 2:
-        raise CliError(f"--{name}-steps must be at least 2, got {steps}")
+        raise ValueError(f"--{name}-steps must be at least 2, got {steps}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise CliError(f"--{name}-min and --{name}-max must be finite, got [{lo}, {hi}]")
+        raise ValueError(f"--{name}-min and --{name}-max must be finite, got [{lo}, {hi}]")
     if not lo < hi:
-        raise CliError(f"--{name}-min must be below --{name}-max, got [{lo}, {hi}]")
+        raise ValueError(f"--{name}-min must be below --{name}-max, got [{lo}, {hi}]")
     if not math.isfinite(hi - lo):
-        raise CliError(f"--{name}-max minus --{name}-min must be finite, got [{lo}, {hi}]")
+        raise ValueError(f"--{name}-max minus --{name}-min must be finite, got [{lo}, {hi}]")
     return np.linspace(lo, hi, steps)
 
 
@@ -187,9 +184,9 @@ def cmd_sample(args, argv) -> int:
 
 def cmd_verify(args, argv) -> int:
     if args.bins < 1:
-        raise CliError(f"--bins must be at least 1, got {args.bins}")
+        raise ValueError(f"--bins must be at least 1, got {args.bins}")
     if args.count < 2:
-        raise CliError(f"--count must be at least 2 to build a histogram, got {args.count}")
+        raise ValueError(f"--count must be at least 2 to build a histogram, got {args.count}")
     spectrum, config = _load_inputs(args)
     law_config = config if args.law_n is None else make_config(args.beta, args.p, args.law_n)
     if args.mode == "exact":
@@ -259,7 +256,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args, argv)
-    except (CliError, ValueError, ArithmeticError, MemoryError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

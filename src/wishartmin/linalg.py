@@ -21,14 +21,15 @@ scaling: diagonal blocks of at most _INV_LEAF rows by row substitution,
 all blocks of one size in one batched pass, and the rest by block
 products.  LAPACK's general inverse would run a pivoted LU on a matrix
 that is already triangular.  sigma_max(A)**2 is the top eigenvalue of
-A^H A.  Up
-to _GRAM_ROWS rows, a constant per dtype (64 real, 32 complex), it comes
-from one LAPACK eigvalsh of that Gram matrix, the faster path at those
-sizes, and above from a Lanczos iteration with an eigh Ritz pair per
-step.  A top eigenvalue keeps full relative accuracy either way,
-where the bottom one of T T^H would lose the squared condition number of
-T.  The input check reads the strictly upper triangle through a flat index
-built once per p.
+A^H A.  Up to _GRAM_ROWS rows, a constant per dtype (64 real, 32
+complex), it comes from one LAPACK eigvalsh of that Gram matrix, the
+faster path at those sizes, and above from a Lanczos iteration that keeps
+only its last two vectors: each step applies A^H A to the newest one and
+takes the three-term recurrence, without reorthogonalization, and eigh
+gives the top Ritz pair.  A top eigenvalue keeps full relative accuracy
+either way, where the bottom one of T T^H would lose the squared
+condition number of T.  The input check reads the strictly upper
+triangle through a flat index built once per p.
 """
 
 from __future__ import annotations
@@ -264,10 +265,6 @@ _INV_LEAF = 32
 # complex stacks and beyond 80 for real ones; real stacks stop at 64, where
 # its worst-case error bound (see _top_eigenvalue) is still below 5e-13
 _GRAM_ROWS = {np.dtype(np.float64): 64, np.dtype(np.complex128): 32}
-# Lanczos vectors first allocated per matrix, doubled when the iteration runs
-# longer: Bartlett factors leave it after 11 (complex) or 15 (real) steps in
-# the median, so a p-row basis would mostly stay unused
-_BASIS_ROWS = 16
 
 
 def smallest_singular_value(t):
@@ -410,13 +407,14 @@ def _top_eigenvalue(a):
     random sign give about sqrt(p) * eps.  A bottom eigenvalue would lose the
     squared condition number instead.
 
-    Above, each Lanczos step applies A^H A to the newest Lanczos vector and
-    orthogonalizes the result against every earlier one (classical
-    Gram-Schmidt, twice), which extends the tridiagonal T_m.  A matrix
-    leaves once ``_ritz_step`` finds its top Ritz pair converged, at step p
-    at the latest, where beta_p is zero.  Only the matrices still iterating
-    are carried on, and each step is computed matrix by matrix, so every
-    value is independent of the stack around it.
+    Above, each Lanczos step takes the three-term recurrence
+    w = A^H A v_j - beta_{j-1} v_{j-1} - alpha_j v_j, v_{j+1} = w / beta_j,
+    which extends the tridiagonal T_m.  Only v_j and v_{j-1} are kept and
+    nothing is reorthogonalized (see ``_ritz_step``).  A matrix leaves once
+    ``_ritz_step`` finds its top Ritz pair converged, at step p at the
+    latest, where beta_p is taken as zero.  Only the matrices still
+    iterating are carried on, and each step is computed matrix by matrix,
+    so every value is independent of the stack around it.
     """
     top = np.maximum(a.view(np.float64).max(axis=(1, 2)), -a.view(np.float64).min(axis=(1, 2)))
     if not np.all(np.isfinite(top)):
@@ -426,24 +424,17 @@ def _top_eigenvalue(a):
     k, p, _ = a.shape
     if p <= _GRAM_ROWS[a.dtype]:
         return np.linalg.eigvalsh(a.conj().swapaxes(1, 2) @ a)[:, -1], f
-    # row j holds Lanczos vector j; rows are added as the iteration needs them
-    basis = np.empty((k, min(p, _BASIS_ROWS), p), dtype=a.dtype)
     v = np.broadcast_to(_start_vector(p).astype(a.dtype), (k, p))
     alpha = np.empty((p, k))
     beta2 = np.empty((p, k))  # beta2[j] = beta_j**2 couples rows j and j+1 of T
     theta, rows = np.empty(k), np.arange(k)
     for j in range(p):
-        if j == basis.shape[1]:
-            basis = np.concatenate((basis, np.empty_like(basis)), axis=1)[:, :p]
-        basis[:, j] = v
         # A^H (A v) as the conjugate of (A v)^H A
         w = ((a @ v[..., None]).conj().swapaxes(1, 2) @ a)[:, 0].conj()
-        done = basis[:, : j + 1]
-        for sweep in range(2):
-            hc = done @ w.conj()[..., None]  # conjugated projections <v_i, w>
-            if sweep == 0:
-                alpha[j] = hc[:, j, 0].real
-            w -= (hc.conj().swapaxes(1, 2) @ done)[:, 0]
+        if j:
+            w -= np.sqrt(beta2[j - 1])[:, None] * v_prev
+        alpha[j] = (v[:, None, :] @ w.conj()[..., None])[:, 0, 0].real
+        w -= alpha[j][:, None] * v
         norm2 = (w.conj()[:, None, :] @ w[..., None])[:, 0, 0].real
         if j == p - 1:
             norm2[:] = 0.0
@@ -453,10 +444,10 @@ def _top_eigenvalue(a):
             keep = ~conv
             if not np.any(keep):
                 break
-            rows, a, basis, w = rows[keep], a[keep], basis[keep], w[keep]
+            rows, a, v, w = rows[keep], a[keep], v[keep], w[keep]
             alpha, beta2, norm2 = alpha[:, keep], beta2[:, keep], norm2[keep]
         beta2[j] = norm2
-        v = w / np.sqrt(norm2)[:, None]
+        v_prev, v = v, w / np.sqrt(norm2)[:, None]
     return theta, f
 
 
@@ -470,6 +461,14 @@ def _ritz_step(alpha, beta2, norm2):
     eigh is at most ``RITZ_RTOL`` * theta.  That pair is exact for T_m + E,
     ||E|| of order m * eps * theta, so the true residual of the Ritz pair of
     A^H A is beta_m * |y_m| to within ||E||: below RITZ_RTOL * theta for m < 128.
+
+    No Lanczos vector is reorthogonalized, and this test needs none (Paige,
+    J. Inst. Maths Applics 18, 1976; Linear Algebra Appl. 34, 1980).  In
+    floating point the Lanczos relation still holds up to a term of order
+    m * eps * ||A^H A||, orthogonality is lost only along Ritz vectors that
+    have converged, and a Ritz value whose computed residual beta_m * |y_m|
+    is small lies within about that residual, plus that rounding term, of
+    an eigenvalue of A^H A.  The matrix leaves the iteration at that step.
     """
     m, k = alpha.shape
     t, i = np.zeros((k, m, m)), np.arange(m)

@@ -105,19 +105,16 @@ class RngStream:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self.restart(stream_index)
-
-    def restart(self, stream_index: int):
-        """Rewind to the start of stream (seed, stream_index).
-
-        The generator's Philox key becomes (seed, stream_index) modulo 2**64
-        and its counter 0.  Re-keying costs a fraction of building a new
-        generator, so one stream can serve a whole batch, index by index.
-        """
         self._rekey(as_integer(stream_index, "stream_index must be an integer, got {!r}"))
 
     def _rekey(self, stream_index: int):
-        """``restart`` for an int index, unchecked: ``sample_batch`` takes its indices from range."""
+        """Rewind to the start of stream (seed, stream_index), for an int index, unchecked.
+
+        The generator's Philox key becomes (seed, stream_index) modulo 2**64
+        and its counter 0.  Re-keying costs a fraction of building a new
+        generator, so one stream serves a whole batch, index by index, and
+        ``sample_batch`` takes its indices from ``range``.
+        """
         self.stream_index = stream_index
         self._state["state"]["key"] = (self.seed & _MASK64, stream_index & _MASK64)
         self._gen.bit_generator.state = self._state

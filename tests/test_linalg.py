@@ -145,11 +145,17 @@ class TestSqrtDetAntisymmetric:
             sqrt_det_antisymmetric(slog_matrix([[1.0, 3.0], [-3.0, 0.0]]))
 
 
-def bartlett_factors(rng, lams, n, k):
-    """k real Bartlett factors Lambda^(1/2) L of p x n Wishart draws, p = len(lams)."""
+def bartlett_factors(rng, lams, n, k, beta=1):
+    """k Bartlett factors Lambda^(1/2) L of p x n Wishart draws, p = len(lams); complex for beta=2."""
     p = len(lams)
-    low = np.tril(rng.standard_normal((k, p, p)), -1)
-    low[:, np.arange(p), np.arange(p)] = np.sqrt(rng.chisquare(n - np.arange(p), size=(k, p)))
+    if beta == 1:
+        low = np.tril(rng.standard_normal((k, p, p)), -1)
+        diag = rng.chisquare(n - np.arange(p), size=(k, p))
+    else:
+        low = np.tril(rng.standard_normal((k, p, p)) + 1j * rng.standard_normal((k, p, p)), -1)
+        low *= math.sqrt(0.5)
+        diag = rng.gamma(n - np.arange(p), size=(k, p))
+    low[:, np.arange(p), np.arange(p)] = np.sqrt(diag)
     return np.sqrt(lams)[:, None] * low
 
 
@@ -350,6 +356,52 @@ class TestSmallestSingularValue:
     def test_rejects_non_finite_in_stack(self):
         with pytest.raises(ValueError):
             smallest_singular_value(np.array([[[1.0]], [[1j * math.inf]]]))
+
+
+@pytest.mark.parametrize("p", [65, 100, pytest.param(200, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("beta", [1, 2])
+def test_lanczos_path_against_mpmath_bracket(beta, p):
+    # above _GRAM_ROWS sigma_min comes from the Lanczos iteration, without
+    # reorthogonalization.  At 30 digits, G - s I passes a Cholesky
+    # factorization exactly when s < lambda_min(G) for G = T T^H, so
+    # sigma**2 (1 - delta) and sigma**2 (1 + delta) bracket lambda_min, with
+    # delta = c * p * eps and c = 1.  The top Ritz value stops at a residual
+    # of RITZ_RTOL = 2.8e-14 times itself, and its error is of the order of
+    # that residual squared over the gap; these draws pass at c = 0.1 too.
+    # A Cholesky at p=200 takes ~1.5 s real and ~3.5 s complex, so that
+    # size is slow
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(10 * p + beta)
+    lams = np.geomspace(0.5, 2.0, p)
+    rng.shuffle(lams)
+    t = bartlett_factors(rng, lams, p + 1, 1, beta)[0]
+    assert p > _GRAM_ROWS[t.dtype]
+    sigma = smallest_singular_value(t)
+    e = math.frexp(sigma)[1] - 1
+    # exactly scaled to sigma in [1, 2): cholesky's positive-definite test
+    # is a pivot above an absolute 10**-30
+    t, sigma = t * 2.0 ** -e, sigma * 2.0 ** -e
+    delta = p * EPS
+    with mpmath.workdps(30):
+        rows = [[mpmath.mpmathify(x) for x in row[: i + 1]] for i, row in enumerate(t.tolist())]
+        g = mpmath.matrix(p)  # the lower triangle and diagonal, all that cholesky reads
+        for i in range(p):
+            for j in range(i + 1):
+                g[i, j] = mpmath.fdot(rows[i][: j + 1], rows[j], conjugate=True)
+
+        def positive_definite(shift):
+            h = g.copy()
+            for i in range(p):
+                h[i, i] -= shift
+            try:
+                mpmath.cholesky(h)
+            except ValueError:
+                return False
+            return True
+
+        s2 = mpmath.mpf(sigma) ** 2
+        assert positive_definite(s2 * (1 - delta))
+        assert not positive_definite(s2 * (1 + delta))
 
 
 class TestTrilInvert:

@@ -51,11 +51,6 @@ class TestRngStream:
         with pytest.raises(ValueError, match="must be an integer"):
             RngStream(seed, index)
 
-    def test_restart_rejects_non_integral_index(self):
-        stream = RngStream(1, 2)
-        with pytest.raises(ValueError, match="stream_index must be an integer"):
-            stream.restart(2.9)
-
     def test_integral_floats_are_the_integer_stream(self):
         stream = RngStream(np.float64(1.0), 2.0)
         assert type(stream.seed) is int and type(stream.stream_index) is int
@@ -258,11 +253,11 @@ class TestSampleBatch:
             for beta in (1, 2):
                 sample_batch(EmpiricalSpectrum(lams), make_config(beta, len(lams), n), count, seed=2)
 
-    def test_restart_matches_new_stream(self):
+    def test_rekey_matches_new_stream(self):
         stream = RngStream(8, 0)
         stream.gaussians(5)
         for k in (3, 1, (1 << 64) + 2):
-            stream.restart(k)
+            stream._rekey(k)
             assert stream.gaussians(7).tolist() == RngStream(8, k).gaussians(7).tolist()
 
     def test_gamma_2_1_distribution(self):
