@@ -22,14 +22,16 @@ all blocks of one size in one batched pass, and the rest by block
 products.  LAPACK's general inverse would run a pivoted LU on a matrix
 that is already triangular.  sigma_max(A)**2 is the top eigenvalue of
 A^H A.  Up to _GRAM_ROWS rows, a constant per dtype (64 real, 32
-complex), it comes from one LAPACK eigvalsh of that Gram matrix, the
-faster path at those sizes, and above from a Lanczos iteration that keeps
-only its last two vectors: each step applies A^H A to the newest one and
-takes the three-term recurrence, without reorthogonalization, and eigh
-gives the top Ritz pair.  A top eigenvalue keeps full relative accuracy
-either way, where the bottom one of T T^H would lose the squared
-condition number of T.  The input check reads the strictly upper
-triangle through a flat index built once per p.
+complex), it comes from that Gram matrix, the faster path at those
+sizes: seven batched squarings and a Kato-Temple bound certify a
+Rayleigh quotient, and LAPACK's eigvalsh takes only the matrices whose
+certificate fails, such as near-ties.  Above, it comes from a Lanczos
+iteration that keeps only its last two vectors: each step applies A^H A
+to the newest one and takes the three-term recurrence, without
+reorthogonalization, and eigh gives the top Ritz pair.  A top eigenvalue
+keeps full relative accuracy either way, where the bottom one of T T^H
+would lose the squared condition number of T.  The input check reads the
+strictly upper triangle through a flat index built once per p.
 """
 
 from __future__ import annotations
@@ -259,12 +261,35 @@ def _jacobi_block(block, log_pref, beta, mant, expo, dmant=None, dexpo=None):
 RITZ_RTOL = 2.0 ** -45
 # diagonal blocks up to this size are inverted by row substitution
 _INV_LEAF = 32
-# matrices up to this many rows, per dtype, take their top eigenvalue from one
-# eigvalsh of the Gram matrix, and larger ones from Lanczos.  On one CPU the
-# eigvalsh takes less time than the Lanczos steps up to about 36 rows for
-# complex stacks and beyond 80 for real ones; real stacks stop at 64, where
-# its worst-case error bound (see _top_eigenvalue) is still below 5e-13
+# matrices up to this many rows, per dtype, take their top eigenvalue from the
+# Gram matrix (_gram_top), and larger ones from Lanczos.  On one CPU a
+# Gram-matrix eigvalsh takes less time than the Lanczos steps up to about 36
+# rows for complex stacks and beyond 80 for real ones, and the certificate
+# less than the eigvalsh; real stacks stop at 64, where the Gram path's
+# worst-case error bound (see _top_eigenvalue) is still below 5e-13
 _GRAM_ROWS = {np.dtype(np.float64): 64, np.dtype(np.complex128): 32}
+# Gram matrices from this many rows up, per dtype, are first tried by the
+# Kato-Temple certificate (_gram_top).  Below, one eigvalsh costs less than
+# the squarings.  Measured on one CPU over whole sigma_min calls: the
+# certificate takes 1.5x the time at 2 real rows and 0.8x at 3; batched
+# complex products cost several times real ones, and the certificate takes
+# 1.06x the time at 5 complex rows and 0.92x at 6
+_CERTIFY_ROWS = {np.dtype(np.float64): 3, np.dtype(np.complex128): 6}
+# squarings of the scaled Gram matrix before its certificate, per dtype, so
+# m = 2**7 real and 2**6 complex.  Measured on 20,000 Bartlett factors per
+# size from 5 to 64 rows (geometric spectrum, n = p + 11 real, p + 2
+# complex): with 7 squarings 2.7-3.8% of real factors fall back to
+# eigvalsh (0.7-1.2% of BENCH10 draws at n = 13, 21, 27), and 10-15% with
+# 6, which takes 4-15% more time on one CPU.  Complex factors, whose top
+# pair lies further apart, fall back in 1.2-1.5% of draws with 6, 0.1-0.2%
+# with 7 and 8-10% with 5; 6 take 2-10% less time than 7, and 5 up to 14%
+# more.  Squarings must stay below 8, where p**m would leave double range
+# (see _gram_top)
+_SQUARINGS = {np.dtype(np.float64): 7, np.dtype(np.complex128): 6}
+# relative margin on the computed tr(B**m) / theta**m of the certificate
+# (see _kato_temple); the measured rounding of that ratio is below 5e-14
+_TRACE_MARGIN = 2.0 ** -30
+_EPS = np.finfo(float).eps
 
 
 def smallest_singular_value(t):
@@ -277,8 +302,8 @@ def smallest_singular_value(t):
     inverted in place (``_tril_invert``): row substitution on diagonal
     blocks of at most ``_INV_LEAF`` rows, block products above.  sigma_min
     is 1 / sqrt(lambda_max(A^H A)) for that inverse A, from
-    ``_top_eigenvalue`` (one Gram-matrix eigvalsh up to ``_GRAM_ROWS``
-    rows, Lanczos above), which scales A once more.  Neither scaling
+    ``_top_eigenvalue`` (the Gram matrix up to ``_GRAM_ROWS`` rows,
+    Lanczos above), which scales A once more.  Neither scaling
     rounds, and together they keep every intermediate inside double range
     unless A itself is not representable, which raises OverflowError.
     """
@@ -399,13 +424,15 @@ def _top_eigenvalue(a):
     puts its largest real or imaginary part in [1/2, 1), so that
     lambda_max(A^H A) = theta * 4**f with theta between 1/4 and 2 p**2.
     Up to ``_GRAM_ROWS[a.dtype]`` rows (64 real, 32 complex), theta is the
-    top eigenvalue of the Gram matrix from LAPACK's eigvalsh, whose entries
-    stay below 2 p.  Forming it perturbs it by at most p * eps * || |A| ||**2
-    <= p**2 * eps * theta, and eigvalsh adds a backward error of a few
-    p * eps * theta, so by Weyl's inequality theta keeps a relative accuracy
-    of about p**2 * eps, 4.6e-13 at 64 rows, in the worst case; roundings of
-    random sign give about sqrt(p) * eps.  A bottom eigenvalue would lose the
-    squared condition number instead.
+    top eigenvalue of the Gram matrix, whose entries stay below 2 p, from
+    ``_gram_top``: certified by Kato-Temple to within eps * theta from
+    squarings of the matrix, or from LAPACK's eigvalsh where the
+    certificate fails.  Forming the Gram matrix perturbs it by at most
+    p * eps * || |A| ||**2 <= p**2 * eps * theta, and either path adds at
+    most a few p * eps * theta, so by Weyl's inequality theta keeps a
+    relative accuracy of about p**2 * eps, 4.6e-13 at 64 rows, in the worst
+    case; roundings of random sign give about sqrt(p) * eps.  A bottom
+    eigenvalue would lose the squared condition number instead.
 
     Above, each Lanczos step takes the three-term recurrence
     w = A^H A v_j - beta_{j-1} v_{j-1} - alpha_j v_j, v_{j+1} = w / beta_j,
@@ -423,7 +450,7 @@ def _top_eigenvalue(a):
     a *= np.ldexp(1.0, -f)[:, None, None]
     k, p, _ = a.shape
     if p <= _GRAM_ROWS[a.dtype]:
-        return np.linalg.eigvalsh(a.conj().swapaxes(1, 2) @ a)[:, -1], f
+        return _gram_top(a.conj().swapaxes(1, 2) @ a), f
     v = np.broadcast_to(_start_vector(p).astype(a.dtype), (k, p))
     alpha = np.empty((p, k))
     beta2 = np.empty((p, k))  # beta2[j] = beta_j**2 couples rows j and j+1 of T
@@ -477,3 +504,91 @@ def _ritz_step(alpha, beta2, norm2):
     values, vectors = np.linalg.eigh(t)
     theta = values[:, -1]
     return theta, (norm2 == 0.0) | (norm2 * vectors[:, -1, -1] ** 2 <= (RITZ_RTOL * theta) ** 2)
+
+
+def _gram_top(b):
+    """lambda_max(B) for each Hermitian positive semidefinite matrix B of the stack b.
+
+    From ``_CERTIFY_ROWS[b.dtype]`` rows up, each B is first tried by a
+    Kato-Temple certificate (Parlett, The Symmetric Eigenvalue Problem,
+    1998, sec. 10.6) built from batched products alone.  B is scaled by
+    the power of two 2**-g that puts its largest diagonal entry in
+    [1/2, 1).  A positive semidefinite matrix has no entry above its
+    largest diagonal entry, so the top eigenvalue of B 2**-g lies in
+    [1/2, p), and ``_SQUARINGS[b.dtype]`` squarings give C = (B 2**-g)**m,
+    m = 2**7 real (2**6 complex), whose entries all lie below
+    p**m <= 2**768 at 64 rows (2**320 at 32) and whose norm lies above
+    2**-m: no squaring overflows, and every entry that underflows is
+    below 2**-890 of the norm.  ``_kato_temple`` then accepts or rejects
+    each Rayleigh quotient theta, and an accepted theta has lambda_max(B)
+    in [theta, theta (1 + eps)], up to the roundings stated there.  The
+    rejected matrices, such as ties and near-ties, whose top eigenvector C
+    does not separate, go to LAPACK's eigvalsh, and only those.  So do all
+    matrices of fewer rows, where eigvalsh is the cheaper path.
+
+    B = A^H A is Hermitian up to the rounding of its product, and theta
+    is the Rayleigh quotient of its Hermitian part.  Either way, theta
+    keeps the accuracy contract of ``_top_eigenvalue``: about p**2 * eps
+    in the worst case, from forming B.  Every step is taken matrix by
+    matrix, and a rejected B goes to eigvalsh unchanged, so each value is
+    independent of the rest of the stack.
+    """
+    if b.shape[1] < _CERTIFY_ROWS[b.dtype]:
+        return np.linalg.eigvalsh(b)[:, -1]
+    g = np.frexp(np.diagonal(b, axis1=1, axis2=2).real.max(axis=1))[1]
+    c = b * np.ldexp(1.0, -g)[:, None, None]
+    squarings = _SQUARINGS[b.dtype]
+    for _ in range(squarings):
+        c = c @ c
+    theta, ok = _kato_temple(b, c, g, 1 << squarings)
+    if not np.all(ok):
+        theta[~ok] = np.linalg.eigvalsh(b[~ok])[:, -1]
+    return theta
+
+
+def _kato_temple(b, c, g, m):
+    """(theta, certified) for each matrix B of the stack b, from C = (B 2**-g)**m in c.
+
+    x is the column of C with the largest diagonal entry, m power steps
+    from that unit vector, and theta = x^H B x / x^H x, the residual
+    r**2 = ||B x - theta x||**2 / x^H x.  No eigenvalue of B is negative
+    and theta <= lambda_1, so the second eigenvalue has
+    lambda_2**m <= tr(B**m) - lambda_1**m <= tr(B**m) - theta**m, and
+
+        mu = theta * (tr(C) / (theta 2**-g)**m * (1 + _TRACE_MARGIN) - 1)**(1/m)
+
+    bounds it.  Where theta > mu, Kato-Temple's inequality gives
+    theta <= lambda_1 <= theta + r**2 / (theta - mu), so theta is
+    certified when r**2 <= eps * theta * (theta - mu).
+
+    Margins.  The trace ratio is computed from C, which carries the
+    rounding of its squarings: a first-order bound lets each squaring
+    double the relative error that C carries and add about p * eps *
+    (tr C / ||C||)**2, and theta**m adds m times the error of theta.
+    Against 60-digit mpmath, after seven squarings of Bartlett draws and
+    of near-flat spectra (tr B / lambda_1 close to p) at 10, 32 and 64
+    rows, the computed ratio was within 4.2e-14 relative, and
+    ``_TRACE_MARGIN`` = 2**-30 leaves a factor of 2e4 over that.  The
+    margin enters mu through an m-th root, so it costs little: it keeps
+    mu at or above about 2**(-30/m) theta (0.85 theta at m = 128), and had
+    the rounding exceeded it by a factor of 1e4, the certified error would
+    still be below 1.8 eps * theta.  theta and r carry the roundings of
+    x^H B x and B x, of order p * eps * tr(B) |x|, which do not change the
+    certified error beyond its last digits.  A matrix whose ratio, margin
+    included, is at most 1 is rejected.
+    """
+    k = len(c)
+    d = np.diagonal(c, axis1=1, axis2=2).real
+    x = c[np.arange(k), :, d.argmax(axis=1)]
+    y = (b @ x[..., None])[..., 0]
+    xx = _norm2(x)
+    theta = (x.conj() * y).real.sum(axis=1) / xx
+    r2 = _norm2(y - theta[:, None] * x) / xx
+    bound = d.sum(axis=1) / (theta * np.ldexp(1.0, -g)) ** m * (1.0 + _TRACE_MARGIN) - 1.0
+    root = np.maximum(bound, 0.0) ** (1.0 / m)  # mu / theta
+    return theta, (bound > 0.0) & (root < 1.0) & (r2 <= _EPS * theta * theta * (1.0 - root))
+
+
+def _norm2(x):
+    """Squared 2-norm of each row of x."""
+    return (x.conj() * x).real.sum(axis=1)

@@ -220,7 +220,7 @@ class TestSmallestSingularValue:
     @pytest.mark.parametrize(
         "case",
         ["complex-p4", "bench10-p10", "bartlett-p33", "complex-p40", "bartlett-p72", "complex-p200"])
-    def test_stack_matches_each_matrix(self, case):
+    def test_stack_matches_each_matrix(self, case, monkeypatch):
         # above _INV_LEAF rows the diagonal leaves of all matrices are inverted
         # as one stack: one 16-row and one 17-row leaf at p=33, eight 25-row
         # leaves at p=200
@@ -229,8 +229,13 @@ class TestSmallestSingularValue:
             p = int(case[len("complex-p") :])
             t = np.tril(rng.standard_normal((6, p, p)) + 1j * rng.standard_normal((6, p, p)))
         elif case == "bench10-p10":
-            # 60 Bartlett factors Lambda^(1/2) L at beta=1, n=21: one eigvalsh of the Gram stack
+            # 60 Bartlett factors Lambda^(1/2) L at beta=1, n=21 on the Gram
+            # path: the certificate accepts 59, and one takes eigvalsh
             t = bartlett_factors(np.random.default_rng(8), np.array(BENCH10_SPECTRUM), 21, 60)
+            eigvalsh, rejected = np.linalg.eigvalsh, []
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: rejected.append(len(g)) or eigvalsh(g))
+            smallest_singular_value(t)
+            assert rejected == [1]
         else:
             # at p=72, above _GRAM_ROWS, Lanczos: the factors leave the iteration
             # at different steps, and each step solves only the rest of the stack
@@ -271,18 +276,30 @@ class TestSmallestSingularValue:
         "dtype, p", [(complex, 32), (complex, 33), (float, 64), (float, 65)],
         ids=["complex-32", "complex-33", "float-64", "float-65"])
     def test_one_path_each_side_of_the_split(self, dtype, p, monkeypatch):
-        # one eigvalsh of the Gram stack up to _GRAM_ROWS rows, Lanczos above
+        # up to _GRAM_ROWS rows, one Kato-Temple certificate of the Gram
+        # stack, then one eigvalsh of exactly the Gram matrices it rejects:
+        # here only the identity's, a p-fold tie.  Lanczos above
         assert _GRAM_ROWS[np.dtype(dtype)] in (p, p - 1)
         calls = []
-        eigvalsh, ritz_step = np.linalg.eigvalsh, linalg._ritz_step
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append("gram") or eigvalsh(g))
-        monkeypatch.setattr(linalg, "_ritz_step", lambda *args: calls.append("ritz") or ritz_step(*args))
+        eigvalsh, ritz_step, kato_temple = np.linalg.eigvalsh, linalg._ritz_step, linalg._kato_temple
+
+        def certificate(b, c, g, m):
+            theta, ok = kato_temple(b, c, g, m)
+            calls.append(("certificate", b[~ok]))
+            return theta, ok
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append(("gram", g)) or eigvalsh(g))
+        monkeypatch.setattr(linalg, "_kato_temple", certificate)
+        monkeypatch.setattr(linalg, "_ritz_step", lambda *args: calls.append(("ritz",)) or ritz_step(*args))
         t = bartlett_factors(np.random.default_rng(p), np.ones(p), p + 1, 5).astype(dtype)
-        smallest_singular_value(t)
+        smallest_singular_value(np.concatenate([t, np.eye(p, dtype=dtype)[None]]))
         if p <= _GRAM_ROWS[np.dtype(dtype)]:
-            assert calls == ["gram"]
+            assert [call[0] for call in calls] == ["certificate", "gram"]
+            rejected, gram = calls[0][1], calls[1][1]
+            # the identity, scaled to 1/2 before its Gram matrix is formed
+            assert np.array_equal(gram, rejected) and np.array_equal(gram, 0.25 * np.eye(p)[None])
         else:
-            assert set(calls) == {"ritz"}
+            assert {call[0] for call in calls} == {"ritz"}
 
     def test_singular_is_exactly_zero(self):
         t = np.tril(np.arange(1.0, 17.0).reshape(4, 4))
@@ -358,30 +375,18 @@ class TestSmallestSingularValue:
             smallest_singular_value(np.array([[[1.0]], [[1j * math.inf]]]))
 
 
-@pytest.mark.parametrize("p", [65, 100, pytest.param(200, marks=pytest.mark.slow)])
-@pytest.mark.parametrize("beta", [1, 2])
-def test_lanczos_path_against_mpmath_bracket(beta, p):
-    # above _GRAM_ROWS sigma_min comes from the Lanczos iteration, without
-    # reorthogonalization.  At 30 digits, G - s I passes a Cholesky
-    # factorization exactly when s < lambda_min(G) for G = T T^H, so
-    # sigma**2 (1 - delta) and sigma**2 (1 + delta) bracket lambda_min, with
-    # delta = c * p * eps and c = 1.  The top Ritz value stops at a residual
-    # of RITZ_RTOL = 2.8e-14 times itself, and its error is of the order of
-    # that residual squared over the gap; these draws pass at c = 0.1 too.
-    # A Cholesky at p=200 takes ~1.5 s real and ~3.5 s complex, so that
-    # size is slow
+def assert_mpmath_bracket(t, sigma, delta):
+    """sigma**2 (1 - delta) < lambda_min(T T^H) < sigma**2 (1 + delta), for lower-triangular T.
+
+    At 30 digits, G - s I passes a Cholesky factorization exactly when
+    s < lambda_min(G) for G = T T^H.
+    """
     mpmath = pytest.importorskip("mpmath")
-    rng = np.random.default_rng(10 * p + beta)
-    lams = np.geomspace(0.5, 2.0, p)
-    rng.shuffle(lams)
-    t = bartlett_factors(rng, lams, p + 1, 1, beta)[0]
-    assert p > _GRAM_ROWS[t.dtype]
-    sigma = smallest_singular_value(t)
+    p = len(t)
     e = math.frexp(sigma)[1] - 1
     # exactly scaled to sigma in [1, 2): cholesky's positive-definite test
     # is a pivot above an absolute 10**-30
     t, sigma = t * 2.0 ** -e, sigma * 2.0 ** -e
-    delta = p * EPS
     with mpmath.workdps(30):
         rows = [[mpmath.mpmathify(x) for x in row[: i + 1]] for i, row in enumerate(t.tolist())]
         g = mpmath.matrix(p)  # the lower triangle and diagonal, all that cholesky reads
@@ -402,6 +407,89 @@ def test_lanczos_path_against_mpmath_bracket(beta, p):
         s2 = mpmath.mpf(sigma) ** 2
         assert positive_definite(s2 * (1 - delta))
         assert not positive_definite(s2 * (1 + delta))
+
+
+@pytest.mark.parametrize("p", [65, 100, pytest.param(200, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("beta", [1, 2])
+def test_lanczos_path_against_mpmath_bracket(beta, p):
+    # above _GRAM_ROWS sigma_min comes from the Lanczos iteration, without
+    # reorthogonalization, bracketed here at delta = c * p * eps with c = 1.
+    # The top Ritz value stops at a residual of RITZ_RTOL = 2.8e-14 times
+    # itself, and its error is of the order of that residual squared over
+    # the gap; these draws pass at c = 0.1 too.  A Cholesky at p=200 takes
+    # ~1.5 s real and ~3.5 s complex, so that size is slow
+    rng = np.random.default_rng(10 * p + beta)
+    lams = np.geomspace(0.5, 2.0, p)
+    rng.shuffle(lams)
+    t = bartlett_factors(rng, lams, p + 1, 1, beta)[0]
+    assert p > _GRAM_ROWS[t.dtype]
+    assert_mpmath_bracket(t, smallest_singular_value(t), p * EPS)
+
+
+@pytest.mark.parametrize("case", ["bench10-p10", "real-p64", "complex-p32"])
+def test_gram_path_against_mpmath_bracket(case, monkeypatch):
+    # up to _GRAM_ROWS sigma_min comes from the Kato-Temple certificate of
+    # the Gram matrix or, where it fails, from eigvalsh, bracketed here at
+    # the stated p**2 * eps; these draws pass at p * eps too.  The BENCH10
+    # draws are the certified first four and the one that falls back of 60
+    if case == "bench10-p10":
+        draws = bartlett_factors(np.random.default_rng(8), np.array(BENCH10_SPECTRUM), 21, 60)
+    else:
+        p, beta = (64, 1) if case == "real-p64" else (32, 2)
+        rng = np.random.default_rng(p)
+        lams = np.geomspace(0.5, 2.0, p)
+        rng.shuffle(lams)
+        draws = bartlett_factors(rng, lams, p + 1, 2, beta)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append(len(g)) or eigvalsh(g))
+    fallback = []
+    for t in draws:
+        calls.clear()
+        sigma = smallest_singular_value(t)
+        fallback.append(bool(calls))
+        if len(fallback) - sum(fallback) <= 4 or fallback[-1]:
+            assert_mpmath_bracket(t, sigma, len(t) ** 2 * EPS)
+    if case == "bench10-p10":
+        assert sum(fallback) == 1
+
+
+@pytest.mark.parametrize("dtype, p", [(float, 10), (float, 64), (complex, 32)],
+                         ids=["real-p10", "real-p64", "complex-p32"])
+def test_gram_path_falls_back_on_exactly_the_near_ties(dtype, p, monkeypatch):
+    # A = U diag(s) V^H, whose A^H A has the top pair 1 and 1 - gap: one
+    # matrix per relative gap from 1e-4 to 1e-12 and at an exact tie
+    # (diagonal A), between controls whose top pair is 1 and 1/2.  Squaring
+    # cannot separate the near-tied pairs, so their certificates fail and
+    # they, and only they, take eigvalsh of the same Gram matrix
+    rng = np.random.default_rng(p)
+
+    def unitary():
+        x = rng.standard_normal((p, p))
+        return np.linalg.qr(x + 1j * rng.standard_normal((p, p)) if dtype is complex else x)[0]
+
+    gaps = [1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 0.0]
+    rest = np.linspace(0.4, 0.01, p - 2)
+    stack, near = [], []
+    for gap in gaps:
+        for top, tied in ((0.5, False), (1.0 - gap, True)):
+            s = np.sqrt(np.concatenate(([1.0, top], rest)))
+            if gap == 0.0 and tied:
+                a = np.diag(s).astype(dtype)
+            else:
+                a = (unitary() * s) @ unitary().conj().T
+            stack.append(a)
+            near.append(tied)
+    a, near = np.array(stack), np.array(near)
+    assert a.dtype == dtype and p <= _GRAM_ROWS[a.dtype]
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append(g) or eigvalsh(g))
+    theta, _ = linalg._top_eigenvalue(a)  # scales a in place, as its caller does
+    gram = a.conj().swapaxes(1, 2) @ a
+    assert len(calls) == 1 and np.array_equal(calls[0], gram[near])
+    want = eigvalsh(gram)[:, -1]
+    assert np.array_equal(theta[near], want[near])
+    # each path is within a few p * eps of lambda_max of that Gram matrix
+    assert np.allclose(theta[~near], want[~near], rtol=p * EPS, atol=0.0)
 
 
 class TestTrilInvert:
