@@ -427,11 +427,14 @@ def _top_eigenvalue(a):
     top eigenvalue of the Gram matrix, whose entries stay below 2 p, from
     ``_gram_top``: certified by Kato-Temple to within eps * theta from
     squarings of the matrix, or from LAPACK's eigvalsh where the
-    certificate fails.  Forming the Gram matrix perturbs it by at most
-    p * eps * || |A| ||**2 <= p**2 * eps * theta, and either path adds at
-    most a few p * eps * theta, so by Weyl's inequality theta keeps a
-    relative accuracy of about p**2 * eps, 4.6e-13 at 64 rows, in the worst
-    case; roundings of random sign give about sqrt(p) * eps.  A bottom
+    certificate fails.  A certified theta is a Rayleigh quotient of A^H A
+    taken from products with A, so only their roundings, at most
+    p * eps * || |A| || |x| each, enter it, and none from forming the Gram
+    matrix.  The fallback forms the Gram matrix, which perturbs it by at most
+    p * eps * || |A| ||**2 <= p**2 * eps * theta, and eigvalsh adds at most
+    a few p * eps * theta, so by Weyl's inequality theta keeps a relative
+    accuracy of about p**2 * eps, 4.6e-13 at 64 rows, in the worst case;
+    roundings of random sign give about sqrt(p) * eps.  A bottom
     eigenvalue would lose the squared condition number instead.
 
     Above, each Lanczos step takes the three-term recurrence
@@ -450,7 +453,7 @@ def _top_eigenvalue(a):
     a *= np.ldexp(1.0, -f)[:, None, None]
     k, p, _ = a.shape
     if p <= _GRAM_ROWS[a.dtype]:
-        return _gram_top(a.conj().swapaxes(1, 2) @ a), f
+        return _gram_top(a), f
     v = np.broadcast_to(_start_vector(p).astype(a.dtype), (k, p))
     alpha = np.empty((p, k))
     beta2 = np.empty((p, k))  # beta2[j] = beta_j**2 couples rows j and j+1 of T
@@ -506,54 +509,63 @@ def _ritz_step(alpha, beta2, norm2):
     return theta, (norm2 == 0.0) | (norm2 * vectors[:, -1, -1] ** 2 <= (RITZ_RTOL * theta) ** 2)
 
 
-def _gram_top(b):
-    """lambda_max(B) for each Hermitian positive semidefinite matrix B of the stack b.
+def _gram_top(a):
+    """lambda_max(A^H A) for each matrix A of the stack a, from its Gram matrix B = A^H A.
 
-    From ``_CERTIFY_ROWS[b.dtype]`` rows up, each B is first tried by a
+    From ``_CERTIFY_ROWS[a.dtype]`` rows up, each B is first tried by a
     Kato-Temple certificate (Parlett, The Symmetric Eigenvalue Problem,
-    1998, sec. 10.6) built from batched products alone.  B is scaled by
-    the power of two 2**-g that puts its largest diagonal entry in
+    1998, sec. 10.6) built from batched products alone.  B is scaled in
+    place by the power of two 2**-g that puts its largest diagonal entry in
     [1/2, 1).  A positive semidefinite matrix has no entry above its
     largest diagonal entry, so the top eigenvalue of B 2**-g lies in
-    [1/2, p), and ``_SQUARINGS[b.dtype]`` squarings give C = (B 2**-g)**m,
+    [1/2, p), and ``_SQUARINGS[a.dtype]`` squarings give C = (B 2**-g)**m,
     m = 2**7 real (2**6 complex), whose entries all lie below
     p**m <= 2**768 at 64 rows (2**320 at 32) and whose norm lies above
     2**-m: no squaring overflows, and every entry that underflows is
-    below 2**-890 of the norm.  ``_kato_temple`` then accepts or rejects
-    each Rayleigh quotient theta, and an accepted theta has lambda_max(B)
-    in [theta, theta (1 + eps)], up to the roundings stated there.  The
-    rejected matrices, such as ties and near-ties, whose top eigenvector C
-    does not separate, go to LAPACK's eigvalsh, and only those.  So do all
-    matrices of fewer rows, where eigvalsh is the cheaper path.
+    below 2**-890 of the norm.  The squarings alternate between B's buffer
+    and one other, so two Gram-sized arrays are held.  ``_kato_temple``
+    then accepts or rejects each Rayleigh quotient theta, and an accepted
+    theta has lambda_max(A^H A) in [theta, theta (1 + eps)], up to the
+    roundings stated there.  The rejected matrices, such as ties and
+    near-ties, whose top eigenvector C does not separate, go to LAPACK's
+    eigvalsh of their Gram matrix, recomputed from A, and only those.  So
+    do all matrices of fewer rows, where eigvalsh is the cheaper path.
 
-    B = A^H A is Hermitian up to the rounding of its product, and theta
-    is the Rayleigh quotient of its Hermitian part.  Either way, theta
-    keeps the accuracy contract of ``_top_eigenvalue``: about p**2 * eps
-    in the worst case, from forming B.  Every step is taken matrix by
-    matrix, and a rejected B goes to eigvalsh unchanged, so each value is
+    An accepted theta is a Rayleigh quotient of A^H A itself, taken from
+    products with A (``_kato_temple``), so the rounding of B only chooses
+    x and bounds lambda_2.  The fallback keeps the accuracy contract of
+    ``_top_eigenvalue``: about p**2 * eps in the worst case, from forming
+    B.  Every step is taken matrix by matrix, and a rejected matrix's Gram
+    matrix is recomputed from that matrix alone, so each value is
     independent of the rest of the stack.
     """
-    if b.shape[1] < _CERTIFY_ROWS[b.dtype]:
+    b = a.conj().swapaxes(1, 2) @ a
+    if a.shape[1] < _CERTIFY_ROWS[a.dtype]:
         return np.linalg.eigvalsh(b)[:, -1]
     g = np.frexp(np.diagonal(b, axis1=1, axis2=2).real.max(axis=1))[1]
-    c = b * np.ldexp(1.0, -g)[:, None, None]
-    squarings = _SQUARINGS[b.dtype]
+    b *= np.ldexp(1.0, -g)[:, None, None]
+    c, spare = b, np.empty_like(b)
+    squarings = _SQUARINGS[a.dtype]
     for _ in range(squarings):
-        c = c @ c
-    theta, ok = _kato_temple(b, c, g, 1 << squarings)
+        np.matmul(c, c, out=spare)
+        c, spare = spare, c
+    theta, ok = _kato_temple(a, c, g, 1 << squarings)
     if not np.all(ok):
-        theta[~ok] = np.linalg.eigvalsh(b[~ok])[:, -1]
+        rejected = a[~ok]
+        theta[~ok] = np.linalg.eigvalsh(rejected.conj().swapaxes(1, 2) @ rejected)[:, -1]
     return theta
 
 
-def _kato_temple(b, c, g, m):
-    """(theta, certified) for each matrix B of the stack b, from C = (B 2**-g)**m in c.
+def _kato_temple(a, c, g, m):
+    """(theta, certified) for each matrix A of the stack a, from C = (A^H A 2**-g)**m in c.
 
     x is the column of C with the largest diagonal entry, m power steps
-    from that unit vector, and theta = x^H B x / x^H x, the residual
-    r**2 = ||B x - theta x||**2 / x^H x.  No eigenvalue of B is negative
-    and theta <= lambda_1, so the second eigenvalue has
-    lambda_2**m <= tr(B**m) - lambda_1**m <= tr(B**m) - theta**m, and
+    from that unit vector, theta = ||A x||**2 / ||x||**2 its Rayleigh
+    quotient of B = A^H A, and y = A^H (A x), taken as the conjugate of
+    (A x)^H A, gives the residual r**2 = ||y - theta x||**2 / ||x||**2.
+    No eigenvalue of B is negative and theta <= lambda_1, so the second
+    eigenvalue has lambda_2**m <= tr(B**m) - lambda_1**m <=
+    tr(B**m) - theta**m, and
 
         mu = theta * (tr(C) / (theta 2**-g)**m * (1 + _TRACE_MARGIN) - 1)**(1/m)
 
@@ -562,27 +574,30 @@ def _kato_temple(b, c, g, m):
     certified when r**2 <= eps * theta * (theta - mu).
 
     Margins.  The trace ratio is computed from C, which carries the
-    rounding of its squarings: a first-order bound lets each squaring
-    double the relative error that C carries and add about p * eps *
-    (tr C / ||C||)**2, and theta**m adds m times the error of theta.
-    Against 60-digit mpmath, after seven squarings of Bartlett draws and
-    of near-flat spectra (tr B / lambda_1 close to p) at 10, 32 and 64
-    rows, the computed ratio was within 4.2e-14 relative, and
+    rounding of forming B and of its squarings: a first-order bound lets
+    each squaring double the relative error that C carries and add about
+    p * eps * (tr C / ||C||)**2, and theta**m adds m times the error of
+    theta.  Against 60-digit mpmath, after seven squarings of Bartlett
+    draws and of near-flat spectra (tr B / lambda_1 close to p) at 10, 32
+    and 64 rows, the computed ratio was within 4.2e-14 relative, and
     ``_TRACE_MARGIN`` = 2**-30 leaves a factor of 2e4 over that.  The
     margin enters mu through an m-th root, so it costs little: it keeps
     mu at or above about 2**(-30/m) theta (0.85 theta at m = 128), and had
     the rounding exceeded it by a factor of 1e4, the certified error would
-    still be below 1.8 eps * theta.  theta and r carry the roundings of
-    x^H B x and B x, of order p * eps * tr(B) |x|, which do not change the
-    certified error beyond its last digits.  A matrix whose ratio, margin
-    included, is at most 1 is rejected.
+    still be below 1.8 eps * theta.  theta and r carry only the roundings
+    of the products A x and (A x)^H A, at most p * eps * || |A| || |x| in
+    each (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    sec. 3.5): they do not change the certified error beyond its last
+    digits, and no rounding of B enters theta.  A matrix whose ratio,
+    margin included, is at most 1 is rejected.
     """
     k = len(c)
     d = np.diagonal(c, axis1=1, axis2=2).real
     x = c[np.arange(k), :, d.argmax(axis=1)]
-    y = (b @ x[..., None])[..., 0]
+    ax = a @ x[..., None]
+    y = (ax.conj().swapaxes(1, 2) @ a)[:, 0].conj()
     xx = _norm2(x)
-    theta = (x.conj() * y).real.sum(axis=1) / xx
+    theta = _norm2(ax[..., 0]) / xx
     r2 = _norm2(y - theta[:, None] * x) / xx
     bound = d.sum(axis=1) / (theta * np.ldexp(1.0, -g)) ** m * (1.0 + _TRACE_MARGIN) - 1.0
     root = np.maximum(bound, 0.0) ** (1.0 / m)  # mu / theta

@@ -1,8 +1,9 @@
 """Seeded Monte Carlo sampling of the smallest eigenvalue of correlated Wishart matrices.
 
-Each sample index owns its own counter-based Philox stream keyed by
-(seed, index), so batches are reproducible regardless of evaluation order
-and trivially parallelizable.  Sampling happens in the eigenbasis of the
+A batch reads one counter-based Philox stream keyed by its seed, and each
+sample reads its own fixed block of it, so a batch is reproducible, a
+larger count extends it without changing its first samples, and any sample
+can be reached directly (below).  Sampling happens in the eigenbasis of the
 population correlation matrix: the observable, the smallest eigenvalue of
 W W^dag, is invariant under the basis rotation, so W = Lambda^(1/2) G with
 G a p x n matrix of standard real (beta=1) or complex (beta=2, E|g|^2 = 1)
@@ -17,27 +18,32 @@ the diagonal, and on it L_ii**2 ~ chi2 with n - i + 1 degrees of freedom
 T = Lambda^(1/2) L directly, and its smallest singular value comes from
 ``linalg.smallest_singular_value`` for lower-triangular matrices.
 
-Every sample takes a fixed number of uniforms from its stream, in this
-order (``_plan``): the Gaussians of ``RngStream.gaussians`` below the
-diagonal, the strictly lower triangle row by row (for beta=2 two
-consecutive Gaussians are the real and imaginary part of one entry), then
-(beta=1) one extra Gaussian for each row with an odd number of degrees of
-freedom; then the uniforms of the diagonal sums, Gamma(m) =
+Every sample takes a fixed number W = ``normals + draws`` of uniforms
+from the stream, in this order (``_plan``): the Gaussians of
+``RngStream.gaussians`` below the diagonal, the strictly lower triangle row
+by row (for beta=2 two consecutive Gaussians are the real and imaginary
+part of one entry), then (beta=1) one extra Gaussian for each row with an
+odd number of degrees of freedom, with ``normals`` rounded up to even; then
+the ``draws`` uniforms of the diagonal sums, Gamma(m) =
 -sum_{j<=m} log1p(-U_j) and chi2_m = 2 Gamma(m // 2) plus the extra
 Gaussian squared when m is odd.  Nothing else is drawn, no basis rotation
 either, as the observable does not depend on it (above).  No draw is
-rejected, so the chunks of a batch stay aligned with the streams: one
-Philox generator is re-keyed to (seed, index) for each sample and fills
-that sample's row of uniforms.  Its state dict is built once per batch,
-and each sample swaps in only its key, with the seed checked once and the
-indices taken from ``range``.  The whole chunk then goes through one
-Box-Muller transform, one ``log1p``, one segmented sum
-(``np.add.reduceat``) and one stacked sigma_min.  What depends on the
-batch alone is built once per batch (``_plan``): the layout counts, the
-segment starts, the flat indices of T's strict lower triangle and
-diagonal, the odd rows and sqrt(lambda) per entry.  Once one sample needs
-more than ``CHUNK_DRAWS`` uniforms, as at p=200, a chunk holds a single
-sample, and T is all that is left to build per chunk.
+rejected, so sample k reads words [k W, (k + 1) W) of the stream, whatever
+the count and the chunking.  The stream is Philox keyed (seed mod 2**64, 0)
+from counter 0, each counter giving four 64-bit words, one per uniform, so
+a parallel caller reaches sample k by setting the counter to
+floor(k W / 4) and skipping (k W) mod 4 words (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011).
+
+Samples are drawn in chunks of about ``CHUNK_DRAWS`` uniforms, each filled
+by one call on the stream.  The whole chunk then goes through one
+Box-Muller transform, one ``log1p``, one segmented sum (``np.add.reduceat``)
+and one stacked sigma_min.  What depends on the batch alone is built once
+per batch (``_plan``): the layout counts, the segment starts, the flat
+indices of T's strict lower triangle and diagonal, the odd rows and
+sqrt(lambda) per entry.  Once one sample needs more than ``CHUNK_DRAWS``
+uniforms, as at p=200, a chunk holds a single sample, and T is all that is
+left to build per chunk.
 """
 
 from __future__ import annotations
@@ -53,7 +59,6 @@ from .linalg import smallest_singular_value
 from .spectra import EmpiricalSpectrum, EnsembleConfig, as_integer
 
 __all__ = [
-    "RngStream",
     "SampleBatch",
     "sample_batch",
     "spectrum_hash",
@@ -89,35 +94,13 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
 
 
 class RngStream:
-    """Counter-based random stream; (seed, stream_index) fixes the sequence."""
+    """Counter-based random stream: Philox keyed (seed mod 2**64, 0), from counter 0."""
 
-    __slots__ = ("seed", "stream_index", "_gen", "_state")
+    __slots__ = ("seed", "_gen")
 
-    def __init__(self, seed: int, stream_index: int = 0):
+    def __init__(self, seed: int):
         self.seed = as_integer(seed, "seed must be an integer, got {!r}")
-        self._gen = np.random.Generator(np.random.Philox(key=0))
-        # the Philox state at the start of any stream: only the key differs
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        self._rekey(as_integer(stream_index, "stream_index must be an integer, got {!r}"))
-
-    def _rekey(self, stream_index: int):
-        """Rewind to the start of stream (seed, stream_index), for an int index, unchecked.
-
-        The generator's Philox key becomes (seed, stream_index) modulo 2**64
-        and its counter 0.  Re-keying costs a fraction of building a new
-        generator, so one stream serves a whole batch, index by index, and
-        ``sample_batch`` takes its indices from ``range``.
-        """
-        self.stream_index = stream_index
-        self._state["state"]["key"] = (self.seed & _MASK64, stream_index & _MASK64)
-        self._gen.bit_generator.state = self._state
+        self._gen = np.random.Generator(np.random.Philox(key=self.seed & _MASK64))
 
     def uniforms(self, out: np.ndarray):
         """Fill the contiguous float64 array ``out`` with the next uniforms in [0, 1)."""
@@ -247,11 +230,14 @@ def sample_batch(
 ) -> SampleBatch:
     """count smallest eigenvalues lambda_min(W W^dag), sorted ascending.
 
-    Sample index k draws T = Lambda^(1/2) L from stream (seed, k) alone, in
-    the order of the module docstring, so the batch is independent of
-    evaluation order.  Samples are drawn in chunks of about ``CHUNK_DRAWS``
-    uniforms, and each chunk's lambda_min are the squared smallest singular
-    values of its stack of T.
+    Sample k draws T = Lambda^(1/2) L from words [k W, (k + 1) W) of the
+    one stream ``RngStream(seed)``, W = ``normals + draws`` uniforms in the
+    order of the module docstring, so the first m samples are the same for
+    any count >= m; a parallel caller reaches sample k by setting the
+    stream's counter to floor(k W / 4) and skipping (k W) mod 4 words.
+    Samples are drawn in chunks of about ``CHUNK_DRAWS`` uniforms, one
+    ``uniforms`` call each, and each chunk's lambda_min are the squared
+    smallest singular values of its stack of T.
     """
     seed = as_integer(seed, "seed must be an integer, got {!r}")
     count = as_integer(count, "count must be an integer, got {!r}")
@@ -267,9 +253,7 @@ def sample_batch(
     values = np.empty(count)
     for start in range(0, count, plan.rows):
         chunk = u[: min(plan.rows, count - start)]
-        for i, row in enumerate(chunk):
-            stream._rekey(start + i)
-            stream.uniforms(row)
+        stream.uniforms(chunk)
         t = _triangular_factors(chunk, plan, factors[: len(chunk)])
         values[start : start + len(chunk)] = smallest_singular_value(t) ** 2
     values.sort()

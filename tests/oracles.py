@@ -388,10 +388,12 @@ def sample_wishart(spectrum, config, stream):
 
 
 def direct_smallest_eigenvalues(spectrum, config, count, seed):
-    """Sorted lambda_min(W W^dag) of W = sample_wishart(..., RngStream(seed, k)), k < count."""
-    z = np.stack([
-        RngStream(seed, k).gaussians(config.beta * config.p * config.n) for k in range(count)
-    ])
+    """Sorted lambda_min(W W^dag) of count W's, read in order off one RngStream(seed).
+
+    Each W is the next ``sample_wishart(spectrum, config, stream)`` of that stream.
+    """
+    stream = RngStream(seed)
+    z = np.stack([stream.gaussians(config.beta * config.p * config.n) for _ in range(count)])
     w = _data_matrices(z, spectrum, config)
     return np.sort(np.linalg.svd(w, compute_uv=False)[:, -1] ** 2)
 

@@ -277,15 +277,16 @@ class TestSmallestSingularValue:
         ids=["complex-32", "complex-33", "float-64", "float-65"])
     def test_one_path_each_side_of_the_split(self, dtype, p, monkeypatch):
         # up to _GRAM_ROWS rows, one Kato-Temple certificate of the Gram
-        # stack, then one eigvalsh of exactly the Gram matrices it rejects:
-        # here only the identity's, a p-fold tie.  Lanczos above
+        # stack, then one eigvalsh of exactly the Gram matrices of the
+        # matrices it rejects: here only the identity's, a p-fold tie.
+        # Lanczos above
         assert _GRAM_ROWS[np.dtype(dtype)] in (p, p - 1)
         calls = []
         eigvalsh, ritz_step, kato_temple = np.linalg.eigvalsh, linalg._ritz_step, linalg._kato_temple
 
-        def certificate(b, c, g, m):
-            theta, ok = kato_temple(b, c, g, m)
-            calls.append(("certificate", b[~ok]))
+        def certificate(a, c, g, m):
+            theta, ok = kato_temple(a, c, g, m)
+            calls.append(("certificate", a[~ok]))
             return theta, ok
 
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append(("gram", g)) or eigvalsh(g))
@@ -297,7 +298,8 @@ class TestSmallestSingularValue:
             assert [call[0] for call in calls] == ["certificate", "gram"]
             rejected, gram = calls[0][1], calls[1][1]
             # the identity, scaled to 1/2 before its Gram matrix is formed
-            assert np.array_equal(gram, rejected) and np.array_equal(gram, 0.25 * np.eye(p)[None])
+            assert np.array_equal(rejected, 0.5 * np.eye(p)[None])
+            assert np.array_equal(gram, rejected.conj().swapaxes(1, 2) @ rejected)
         else:
             assert {call[0] for call in calls} == {"ritz"}
 

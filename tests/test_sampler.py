@@ -24,51 +24,52 @@ from oracles import direct_smallest_eigenvalues, gamma2_tail, normal_cdf, sample
 
 class TestRngStream:
     def test_gaussian_pair_reproducible(self):
-        a = RngStream(42, 0).gaussians(2)
-        b = RngStream(42, 0).gaussians(2)
+        a = RngStream(42).gaussians(2)
+        b = RngStream(42).gaussians(2)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        pair = RngStream(42, 0).gaussians(2)
-        assert not np.array_equal(pair, RngStream(42, 1).gaussians(2))
-        assert not np.array_equal(pair, RngStream(43, 0).gaussians(2))
+        assert not np.array_equal(RngStream(42).gaussians(2), RngStream(43).gaussians(2))
 
     def test_moments(self):
-        z = RngStream(7, 0).gaussians(1_000_000)
+        z = RngStream(7).gaussians(1_000_000)
         assert abs(z.mean()) < 4.0 / math.sqrt(1_000_000)
         assert abs(z.var() - 1.0) < 0.005
 
     def test_ks_against_normal(self):
-        z = np.sort(RngStream(11, 3).gaussians(100_000))
+        z = np.sort(RngStream(11).gaussians(100_000))
         report = ks_statistic(z, np.array([normal_cdf(x) for x in z]))
         assert report.statistic < 1.63 / math.sqrt(100_000)
         assert report.passed
 
     @pytest.mark.parametrize(
-        "seed, index", [(1.7, 2), (1, 2.9), (True, 2), (1, False), ("3", 2), (1, math.nan)],
-        ids=["fractional-seed", "fractional-index", "bool-seed", "bool-index", "string-seed", "nan-index"])
-    def test_rejects_non_integral_seed_and_index(self, seed, index):
+        "seed", [1.7, True, "3"], ids=["fractional-seed", "bool-seed", "string-seed"])
+    def test_rejects_non_integral_seed_and_index(self, seed):
         with pytest.raises(ValueError, match="must be an integer"):
-            RngStream(seed, index)
+            RngStream(seed)
 
     def test_integral_floats_are_the_integer_stream(self):
-        stream = RngStream(np.float64(1.0), 2.0)
-        assert type(stream.seed) is int and type(stream.stream_index) is int
-        assert stream.gaussians(4).tolist() == RngStream(1, 2).gaussians(4).tolist()
+        stream = RngStream(np.float64(1.0))
+        assert type(stream.seed) is int
+        assert stream.gaussians(4).tolist() == RngStream(1).gaussians(4).tolist()
 
     def test_key_is_seed_and_index_modulo_2_64(self):
-        # every stream starts at counter 0 of a Philox keyed (seed, index) mod 2**64
-        for seed, index in ((8, 3), (-3, 0), (8, (1 << 64) + 2)):
-            key = np.array([seed % (1 << 64), index % (1 << 64)], dtype=np.uint64)
-            want = np.random.Generator(np.random.Philox(key=key)).random(5)
-            got = np.empty(5)
-            RngStream(seed, index).uniforms(got)
+        # a stream starts at counter 0 of a Philox keyed (seed mod 2**64, 0),
+        # and counter c starts at word 4 c of it, one word per uniform
+        for seed in (8, -3, (1 << 64) + 2):
+            key = np.array([seed % (1 << 64), 0], dtype=np.uint64)
+            want = np.random.Generator(np.random.Philox(key=key)).random(13)
+            got = np.empty(13)
+            RngStream(seed).uniforms(got)
             assert got.tolist() == want.tolist()
+            for word in (5, 8, 11):
+                gen = np.random.Generator(np.random.Philox(key=key, counter=word // 4))
+                gen.random(word % 4)
+                assert gen.random(2).tolist() == want[word : word + 2].tolist()
 
     def test_pair_consistent_with_batch(self):
-        stream = RngStream(5, 9)
-        z = stream.gaussians(6)
-        pair = RngStream(5, 9).gaussians(2)
+        z = RngStream(5).gaussians(6)
+        pair = RngStream(5).gaussians(2)
         assert pair.tolist() == z[:2].tolist()
 
 
@@ -123,20 +124,19 @@ def two_sample_ks(a, b):
 
 
 class TestSampleWishart:
-    # the direct reference path: the whole p x n W from its stream
+    # the direct reference path: the whole p x n W, each read in turn off one stream
     def test_shapes_and_dtypes(self):
         spec = EmpiricalSpectrum((1.0, 2.0))
-        w1 = sample_wishart(spec, make_config(1, 2, 5), RngStream(0, 0))
+        w1 = sample_wishart(spec, make_config(1, 2, 5), RngStream(0))
         assert w1.shape == (2, 5) and w1.dtype == np.float64
-        w2 = sample_wishart(spec, make_config(2, 2, 5), RngStream(0, 0))
+        w2 = sample_wishart(spec, make_config(2, 2, 5), RngStream(0))
         assert w2.shape == (2, 5) and w2.dtype == np.complex128
 
     def test_unit_spectrum_entry_variance(self):
         spec = EmpiricalSpectrum((1.0,) * 10)
         cfg = make_config(1, 10, 21)
-        pooled = np.concatenate(
-            [sample_wishart(spec, cfg, RngStream(1, k)).ravel() for k in range(200)]
-        )
+        stream = RngStream(1)
+        pooled = np.concatenate([sample_wishart(spec, cfg, stream).ravel() for _ in range(200)])
         n = pooled.size
         assert abs(pooled.var() - 1.0) < 3.0 * math.sqrt(2.0 / n)
 
@@ -144,12 +144,8 @@ class TestSampleWishart:
         lams = (0.5, 1.5, 4.0)
         spec = EmpiricalSpectrum(lams)
         cfg = make_config(1, 3, 6)
-        traces = np.array(
-            [
-                np.sum(sample_wishart(spec, cfg, RngStream(7, k)) ** 2)
-                for k in range(10_000)
-            ]
-        )
+        stream = RngStream(7)
+        traces = np.array([np.sum(sample_wishart(spec, cfg, stream) ** 2) for _ in range(10_000)])
         want = cfg.n * sum(lams)
         se = math.sqrt(2.0 * cfg.n * sum(v * v for v in lams) / traces.size)
         assert abs(traces.mean() - want) < 3.0 * se
@@ -158,11 +154,9 @@ class TestSampleWishart:
         lams = (0.5, 2.0, 8.0)
         spec = EmpiricalSpectrum(lams)
         cfg = make_config(2, 3, 6)
+        stream = RngStream(3)
         rows = np.array(
-            [
-                np.sum(np.abs(sample_wishart(spec, cfg, RngStream(3, k))) ** 2, axis=1)
-                for k in range(10_000)
-            ]
+            [np.sum(np.abs(sample_wishart(spec, cfg, stream)) ** 2, axis=1) for _ in range(10_000)]
         )
         for j, lam in enumerate(lams):
             se = math.sqrt(cfg.n * lam * lam / rows.shape[0])
@@ -191,13 +185,14 @@ class TestSampleBatch:
          (2, (1.0,) * 100 + (4.0,) * 100, 202, 3)],
         ids=["beta1-p10-n13", "beta2-p3-n4", "beta1-p72-n73", "beta2-p200-n202"],
     )
-    def test_streams_indexed_by_sample(self, beta, lams, n, count):
+    def test_samples_read_one_stream_in_order(self, beta, lams, n, count):
         spec = EmpiricalSpectrum(lams)
         cfg = make_config(beta, len(lams), n)
         # by default two chunks and a remainder; at p=200 a chunk is one sample
         count = count or 2 * (CHUNK_DRAWS // uniforms_per_sample(cfg)) + 7
         batch = sample_batch(spec, cfg, count, seed=21)
-        factors = np.stack([bartlett_factor(spec, cfg, RngStream(21, k)) for k in range(count)])
+        stream = RngStream(21)
+        factors = np.stack([bartlett_factor(spec, cfg, stream) for _ in range(count)])
         # squared as the batch squares: one correctly rounded multiply;
         # each value of a stack is independent of the rest of it
         assert np.array_equal(batch.values, np.sort(smallest_singular_value(factors) ** 2))
@@ -217,8 +212,44 @@ class TestSampleBatch:
         count = 2 * (CHUNK_DRAWS // uniforms_per_sample(cfg)) + 5
         sample_batch(spec, cfg, count, seed=-3)
         assert len(stacks) == 3
-        want = np.stack([bartlett_factor(spec, cfg, RngStream(-3, k)) for k in range(count)])
+        stream = RngStream(-3)
+        want = np.stack([bartlett_factor(spec, cfg, stream) for _ in range(count)])
         assert np.array_equal(np.concatenate(stacks), want)
+
+    def test_one_uniforms_call_per_chunk(self, monkeypatch):
+        sizes = []
+        uniforms = RngStream.uniforms
+
+        def record(stream, out):
+            sizes.append(out.shape)
+            uniforms(stream, out)
+
+        monkeypatch.setattr(RngStream, "uniforms", record)
+        spec = EmpiricalSpectrum(BENCH10_SPECTRUM)
+        cfg = make_config(1, 10, 21)
+        width = uniforms_per_sample(cfg)
+        rows = CHUNK_DRAWS // width
+        sample_batch(spec, cfg, 2 * rows + 3, seed=6)
+        assert sizes == [(rows, width), (rows, width), (3, width)]
+
+    @pytest.mark.parametrize("beta, n", [(1, 13), (2, 12)], ids=["beta1-p10-n13", "beta2-p10-n12"])
+    def test_first_samples_do_not_depend_on_count(self, monkeypatch, beta, n):
+        stacks = []
+
+        def record(t):
+            stacks.append(t.copy())
+            return smallest_singular_value(t)
+
+        monkeypatch.setattr(sampler, "smallest_singular_value", record)
+        spec = EmpiricalSpectrum(BENCH10_SPECTRUM)
+        cfg = make_config(beta, 10, n)
+        rows = CHUNK_DRAWS // uniforms_per_sample(cfg)
+        m = rows + 2  # chunks of rows and 2, against rows, rows and 5
+        sample_batch(spec, cfg, m, seed=13)
+        first = np.concatenate(stacks)
+        stacks.clear()
+        sample_batch(spec, cfg, m + rows + 3, seed=13)
+        assert len(first) == m and np.array_equal(np.concatenate(stacks)[:m], first)
 
     @pytest.mark.parametrize(
         "beta, p, n, seeds",
@@ -252,13 +283,6 @@ class TestSampleBatch:
         for lams, n, count in ((BENCH10_SPECTRUM, 21, 600), ((1.0,) * 100 + (4.0,) * 100, 203, 2)):
             for beta in (1, 2):
                 sample_batch(EmpiricalSpectrum(lams), make_config(beta, len(lams), n), count, seed=2)
-
-    def test_rekey_matches_new_stream(self):
-        stream = RngStream(8, 0)
-        stream.gaussians(5)
-        for k in (3, 1, (1 << 64) + 2):
-            stream._rekey(k)
-            assert stream.gaussians(7).tolist() == RngStream(8, k).gaussians(7).tolist()
 
     def test_gamma_2_1_distribution(self):
         # p=1, n=2, beta=2: lambda_min ~ Gamma(2, 1)
