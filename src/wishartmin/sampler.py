@@ -1,13 +1,12 @@
 """Seeded Monte Carlo sampling of the smallest eigenvalue of correlated Wishart matrices.
 
-A batch reads one counter-based Philox stream keyed by its seed, and each
-sample reads its own fixed block of it, so a batch is reproducible, a
-larger count extends it without changing its first samples, and any sample
-can be reached directly (below).  Sampling happens in the eigenbasis of the
-population correlation matrix: the observable, the smallest eigenvalue of
-W W^dag, is invariant under the basis rotation, so W = Lambda^(1/2) G with
-G a p x n matrix of standard real (beta=1) or complex (beta=2, E|g|^2 = 1)
-Gaussians.
+A batch reads two counter-based Philox streams keyed by its seed, each in
+sample order, so a batch is reproducible and a larger count extends it
+without changing its first samples.  Sampling happens in the eigenbasis of
+the population correlation matrix: the observable, the smallest eigenvalue
+of W W^dag, is invariant under the basis rotation, so W = Lambda^(1/2) G
+with G a p x n matrix of standard real (beta=1) or complex (beta=2,
+E|g|^2 = 1) Gaussians.
 
 W itself is never formed.  The LQ decomposition G = L Q leaves
 sigma(W) = sigma(Lambda^(1/2) L), and by Bartlett's decomposition (Bartlett
@@ -18,38 +17,34 @@ the diagonal, and on it L_ii**2 ~ chi2 with n - i + 1 degrees of freedom
 T = Lambda^(1/2) L directly, and its smallest singular value comes from
 ``linalg.smallest_singular_value`` for lower-triangular matrices.
 
-Every sample takes a fixed number W = ``normals + draws`` of uniforms
-from the stream, in this order (``_plan``): the Gaussians of
-``RngStream.gaussians`` below the diagonal, the strictly lower triangle row
-by row (for beta=2 two consecutive Gaussians are the real and imaginary
-part of one entry), then (beta=1) one extra Gaussian for each row with an
-odd number of degrees of freedom, with ``normals`` rounded up to even; then
-the ``draws`` uniforms of the diagonal sums, Gamma(m) =
--sum_{j<=m} log1p(-U_j) and chi2_m = 2 Gamma(m // 2) plus the extra
-Gaussian squared when m is odd.  Nothing else is drawn, no basis rotation
-either, as the observable does not depend on it (above).  No draw is
-rejected, so sample k reads words [k W, (k + 1) W) of the stream, whatever
-the count and the chunking.  The stream is Philox keyed (seed mod 2**64, 0)
-from counter 0, each counter giving four 64-bit words, one per uniform, so
-a parallel caller reaches sample k by setting the counter to
-floor(k W / 4) and skipping (k W) mod 4 words (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC 2011).
+Each sample takes ``normals`` = beta p (p - 1) / 2 standard normals from the
+Gaussian stream, Philox keyed (seed mod 2**64, 0): the strictly lower
+triangle row by row, where for beta=2 two consecutive Gaussians are the
+real and imaginary part of one entry.  It takes p Gamma variates from the
+Gamma stream, Philox keyed (seed mod 2**64, 1): L_ii**2 = 2 Gamma((n - i +
+1) / 2) = chi2_{n - i + 1} (beta=1) or Gamma(n - i + 1) (beta=2).  numpy
+draws the normals by the ziggurat method (Marsaglia & Tsang, J. Stat.
+Softw. 5(8), 2000) and the Gammas by Marsaglia & Tsang's method (ACM TOMS
+26, 363, 2000; an exponential at shape 1), so the cost of a sample does
+not grow with n.  Both methods reject a variable number of words, so there
+is no skip-ahead to sample k: each stream is read in sample order, and
+numpy draws the same sequence in one call or in chunks, so the first m
+samples are the same for any count >= m and any chunking.  Their bits may change across numpy versions, as
+those of any numpy ``Generator`` method may.  Nothing else is drawn, no
+basis rotation either, as the observable does not depend on it (above).
 
-Samples are drawn in chunks of about ``CHUNK_DRAWS`` uniforms, each filled
-by one call on the stream.  The whole chunk then goes through one
-Box-Muller transform, one ``log1p``, one segmented sum (``np.add.reduceat``)
-and one stacked sigma_min.  What depends on the batch alone is built once
-per batch (``_plan``): the layout counts, the segment starts, the flat
-indices of T's strict lower triangle and diagonal, the odd rows and
-sqrt(lambda) per entry.  Once one sample needs more than ``CHUNK_DRAWS``
-uniforms, as at p=200, a chunk holds a single sample, and T is all that is
-left to build per chunk.
+Samples are drawn in chunks of as many samples as fit, with their normals,
+Gammas and factors, in ``CHUNK_DRAWS`` float64 words: one ``gaussians``
+and one ``gammas`` call, then one stacked sigma_min per chunk.  What
+depends on the batch alone is built once per batch (``_plan``): the flat
+indices of T's strict lower triangle and diagonal, the Gamma shapes of a
+chunk and sqrt(lambda) per entry.  Once one sample needs more than
+``CHUNK_DRAWS`` words, as at p=200, a chunk holds a single sample.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -68,50 +63,33 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-# uniforms drawn per chunk of a batch (512 KiB): some 500 samples at
-# p=10, n=21, and a single sample once one sample needs more than this
+# float64 words per chunk of a batch (512 KiB) of normals, Gammas and
+# factors: 422 samples at beta=1, p=10, and a single sample at p=200
 CHUNK_DRAWS = 1 << 16
 
 
-def _box_muller(u: np.ndarray) -> np.ndarray:
-    """Standard normals from uniforms in [0, 1), pairwise along the last axis.
-
-    Each consecutive pair (u1, u2) of a row gives two deviates,
-    sqrt(-2 log(1 - u1)) times cos and sin of 2 pi u2.  The log is applied
-    to (1 - u1), which never vanishes for u1 in [0, 1).
-    """
-    r = np.negative(u[..., 0::2])
-    np.log1p(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    theta = np.multiply(u[..., 1::2], 2.0 * math.pi)
-    s = np.sin(theta)
-    np.cos(theta, out=theta)
-    z = np.empty(u.shape)
-    np.multiply(r, theta, out=z[..., 0::2])
-    np.multiply(r, s, out=z[..., 1::2])
-    return z
-
-
 class RngStream:
-    """Counter-based random stream: Philox keyed (seed mod 2**64, 0), from counter 0."""
+    """The two random streams of a batch, each a Philox from counter 0.
 
-    __slots__ = ("seed", "_gen")
+    The Gaussians come from the one keyed (seed mod 2**64, 0), the Gammas
+    from the one keyed (seed mod 2**64, 1).
+    """
+
+    __slots__ = ("seed", "_normal", "_gamma")
 
     def __init__(self, seed: int):
         self.seed = as_integer(seed, "seed must be an integer, got {!r}")
-        self._gen = np.random.Generator(np.random.Philox(key=self.seed & _MASK64))
-
-    def uniforms(self, out: np.ndarray):
-        """Fill the contiguous float64 array ``out`` with the next uniforms in [0, 1)."""
-        self._gen.random(out=out)
+        key = self.seed & _MASK64
+        self._normal = np.random.Generator(np.random.Philox(key=key))
+        self._gamma = np.random.Generator(np.random.Philox(key=key | (1 << 64)))
 
     def gaussians(self, count: int) -> np.ndarray:
-        """count standard normals via Box-Muller on stream uniforms.
+        """The next count standard normals of the Gaussian stream."""
+        return self._normal.standard_normal(count)
 
-        Draws are consumed in pairs; an odd count discards the last deviate.
-        """
-        return _box_muller(self._gen.random(2 * ((count + 1) // 2)))[:count]
+    def gammas(self, shape: np.ndarray) -> np.ndarray:
+        """The next Gamma(shape_j, 1) variates of the Gamma stream, one per entry of ``shape``."""
+        return self._gamma.standard_gamma(shape)
 
 
 @dataclass(frozen=True)
@@ -120,78 +98,58 @@ class _Plan:
 
     beta: int
     p: int
-    normals: int  # uniforms per sample: Gaussians, then diagonal sums
-    draws: int
+    normals: int  # Gaussians per sample
     rows: int  # samples per chunk
-    starts: np.ndarray  # np.add.reduceat starts of the diagonal sums of a whole chunk
+    shape: np.ndarray  # Gamma shape of each diagonal entry of a whole chunk
     lower: np.ndarray  # flat indices into p * p of the strictly lower triangle, row by row
     diagonal: np.ndarray  # flat indices of the diagonal
-    odd: np.ndarray  # rows with an odd number of degrees of freedom (beta=1)
     root: np.ndarray  # sqrt(lambda_i)
     scale: np.ndarray  # sqrt(lambda_i) (beta=1) or sqrt(lambda_i / 2) (beta=2), per lower entry
 
 
 def _plan(spectrum: EmpiricalSpectrum, config: EnsembleConfig, count: int) -> _Plan:
-    """The per-batch constants of a batch of ``count`` samples.
-
-    ``normals`` is rounded up to even: Box-Muller takes its uniforms in
-    pairs, as a ``gaussians`` call of that size would.
-    """
+    """The per-batch constants of a batch of ``count`` samples."""
     if spectrum.p != config.p:
         raise ValueError(f"spectrum has p={spectrum.p} but config expects p={config.p}")
     p, n, beta = config.p, config.n, config.beta
-    dof = n - np.arange(p)  # degrees of freedom of L_ii**2, i = 1 .. p
-    normals = beta * (p * (p - 1) // 2) + (int(np.count_nonzero(dof % 2)) if beta == 1 else 0)
-    normals += normals % 2
-    group = dof if beta == 2 else dof // 2
-    draws = int(group.sum())
-    rows = max(1, min(count, CHUNK_DRAWS // (normals + draws)))
-    starts = np.concatenate(([0], np.cumsum(group)[:-1])) + draws * np.arange(rows)[:, None]
+    dof = n - np.arange(p, dtype=float)  # degrees of freedom of L_ii**2, i = 1 .. p
+    normals = beta * (p * (p - 1) // 2)
+    rows = max(1, min(count, CHUNK_DRAWS // (normals + p + p * p)))
     below, col = np.tril_indices(p, -1)
     lam = np.asarray(spectrum.lambdas)
     return _Plan(
         beta=beta,
         p=p,
         normals=normals,
-        draws=draws,
         rows=rows,
-        starts=starts.reshape(-1),
+        shape=np.tile(dof if beta == 2 else 0.5 * dof, rows),
         lower=below * p + col,
         diagonal=np.arange(p) * (p + 1),
-        odd=np.flatnonzero(dof % 2),
         root=np.sqrt(lam),
         scale=(np.sqrt(0.5 * lam) if beta == 2 else np.sqrt(lam))[below],
     )
 
 
-def _triangular_factors(u, plan: _Plan, out):
-    """Stack of T = Lambda^(1/2) L, one per row of ``u``, written into ``out``.
+def _triangular_factors(z, g, plan: _Plan, out):
+    """Stack of T = Lambda^(1/2) L, one per row of ``z`` and ``g``, written into ``out``.
 
-    Each row holds a sample's Gaussian and diagonal-sum uniforms, in the
-    order of the module docstring (``plan.normals`` and ``plan.draws``).
-    ``out`` holds one flat p * p matrix per row, zero above the diagonal;
-    the strict lower triangle and the diagonal are overwritten, and the
-    (k, p, p) view of ``out`` is returned.
+    Each row of ``z`` holds a sample's ``plan.normals`` Gaussians and each
+    row of ``g`` its p Gamma variates, in the order of the module
+    docstring; both are overwritten.  ``out`` holds one flat p * p matrix
+    per row, zero above the diagonal; the strict lower triangle and the
+    diagonal are overwritten, and the (k, p, p) view of ``out`` is returned.
     """
-    p, normals, draws = plan.p, plan.normals, plan.draws
-    k = len(u)
-    z = _box_muller(u[:, :normals])
-    logs = np.negative(u[:, normals : normals + draws])
-    np.log1p(logs, out=logs)
-    sums = np.add.reduceat(logs.reshape(-1), plan.starts[: k * p]).reshape(k, p)
-    np.negative(sums, out=sums)
-    lower = len(plan.lower)
     if plan.beta == 2:
         # consecutive Gaussians are the real and imaginary part of one entry
-        entries = z[:, : 2 * lower].view(np.complex128) * plan.scale
+        z = z.view(np.complex128)
     else:
-        sums *= 2.0
-        sums[:, plan.odd] += z[:, lower : lower + len(plan.odd)] ** 2
-        entries = z[:, :lower] * plan.scale
-    out[:, plan.lower] = entries
-    np.sqrt(sums, out=sums)
-    out[:, plan.diagonal] = plan.root * sums
-    return out.reshape(k, p, p)
+        g *= 2.0
+    z *= plan.scale
+    out[:, plan.lower] = z
+    np.sqrt(g, out=g)
+    g *= plan.root
+    out[:, plan.diagonal] = g
+    return out.reshape(len(z), plan.p, plan.p)
 
 
 @dataclass(frozen=True)
@@ -230,13 +188,13 @@ def sample_batch(
 ) -> SampleBatch:
     """count smallest eigenvalues lambda_min(W W^dag), sorted ascending.
 
-    Sample k draws T = Lambda^(1/2) L from words [k W, (k + 1) W) of the
-    one stream ``RngStream(seed)``, W = ``normals + draws`` uniforms in the
-    order of the module docstring, so the first m samples are the same for
-    any count >= m; a parallel caller reaches sample k by setting the
-    stream's counter to floor(k W / 4) and skipping (k W) mod 4 words.
-    Samples are drawn in chunks of about ``CHUNK_DRAWS`` uniforms, one
-    ``uniforms`` call each, and each chunk's lambda_min are the squared
+    Sample k draws T = Lambda^(1/2) L from ``RngStream(seed)``: its
+    Gaussians follow those of samples 0 .. k-1 on the Gaussian stream, its
+    Gammas follow theirs on the Gamma stream, as the module docstring lays
+    out, so the first m samples are the same for any count >= m.  There is
+    no skip-ahead: reaching sample k draws the samples before it.  Samples
+    are drawn in chunks of ``plan.rows``, one ``gaussians`` and one
+    ``gammas`` call each, and each chunk's lambda_min are the squared
     smallest singular values of its stack of T.
     """
     seed = as_integer(seed, "seed must be an integer, got {!r}")
@@ -245,17 +203,17 @@ def sample_batch(
         raise ValueError(f"count must be at least 1, got {count}")
     plan = _plan(spectrum, config, count)
     p, beta = plan.p, plan.beta
-    u = np.empty((plan.rows, plan.normals + plan.draws))
     # one buffer for every chunk (the factors never write above the diagonal):
     # at p=200 a fresh 640 KB T per sample made glibc trim and re-fault the heap
     factors = np.zeros((plan.rows, p * p), dtype=np.complex128 if beta == 2 else np.float64)
     stream = RngStream(seed)
     values = np.empty(count)
     for start in range(0, count, plan.rows):
-        chunk = u[: min(plan.rows, count - start)]
-        stream.uniforms(chunk)
-        t = _triangular_factors(chunk, plan, factors[: len(chunk)])
-        values[start : start + len(chunk)] = smallest_singular_value(t) ** 2
+        k = min(plan.rows, count - start)
+        z = stream.gaussians(k * plan.normals).reshape(k, plan.normals)
+        g = stream.gammas(plan.shape[: k * p]).reshape(k, p)
+        t = _triangular_factors(z, g, plan, factors[:k])
+        values[start : start + k] = smallest_singular_value(t) ** 2
     values.sort()
     zeros = int(np.count_nonzero(values == 0.0))
     if zeros and config.p < config.n:

@@ -381,16 +381,19 @@ def sample_wishart(spectrum, config, stream):
     """One p x n data matrix W with row j variance set by lam_j.
 
     beta=1: real entries N(0, lam_j).  beta=2: complex entries with
-    independent real and imaginary parts N(0, lam_j/2).
+    independent real and imaginary parts N(0, lam_j/2).  Its beta*p*n
+    normals are the next ``stream.gaussians`` draw, numpy's
+    ``standard_normal`` on the stream's Gaussian generator.
     """
     z = stream.gaussians(config.beta * config.p * config.n)
     return _data_matrices(z[None], spectrum, config)[0]
 
 
 def direct_smallest_eigenvalues(spectrum, config, count, seed):
-    """Sorted lambda_min(W W^dag) of count W's, read in order off one RngStream(seed).
+    """Sorted lambda_min(W W^dag) of count W's, read in order off the Gaussians of RngStream(seed).
 
-    Each W is the next ``sample_wishart(spectrum, config, stream)`` of that stream.
+    Each W is the next ``sample_wishart(spectrum, config, stream)`` of that
+    stream; its Gamma generator is not read.
     """
     stream = RngStream(seed)
     z = np.stack([stream.gaussians(config.beta * config.p * config.n) for _ in range(count)])

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,18 +55,14 @@ class TestRngStream:
         assert stream.gaussians(4).tolist() == RngStream(1).gaussians(4).tolist()
 
     def test_key_is_seed_and_index_modulo_2_64(self):
-        # a stream starts at counter 0 of a Philox keyed (seed mod 2**64, 0),
-        # and counter c starts at word 4 c of it, one word per uniform
+        # the Gaussians start at counter 0 of a Philox keyed (seed mod 2**64, 0),
+        # the Gammas at counter 0 of one keyed (seed mod 2**64, 1)
+        shape = np.array([0.5, 1.0, 1.5, 6.0, 101.0])
         for seed in (8, -3, (1 << 64) + 2):
-            key = np.array([seed % (1 << 64), 0], dtype=np.uint64)
-            want = np.random.Generator(np.random.Philox(key=key)).random(13)
-            got = np.empty(13)
-            RngStream(seed).uniforms(got)
-            assert got.tolist() == want.tolist()
-            for word in (5, 8, 11):
-                gen = np.random.Generator(np.random.Philox(key=key, counter=word // 4))
-                gen.random(word % 4)
-                assert gen.random(2).tolist() == want[word : word + 2].tolist()
+            normal, gamma = keyed_generators(seed)
+            stream = RngStream(seed)
+            assert stream.gaussians(13).tolist() == normal.standard_normal(13).tolist()
+            assert stream.gammas(shape).tolist() == gamma.standard_gamma(shape).tolist()
 
     def test_pair_consistent_with_batch(self):
         z = RngStream(5).gaussians(6)
@@ -73,24 +70,25 @@ class TestRngStream:
         assert pair.tolist() == z[:2].tolist()
 
 
-def bartlett_factor(spectrum, config, stream):
-    """T = Lambda^(1/2) L of one sample, read entry by entry off ``stream``.
+def keyed_generators(seed):
+    """The Gaussian and the Gamma generator of a batch, built from their documented keys."""
+    return tuple(
+        np.random.Generator(np.random.Philox(key=np.array([seed % (1 << 64), j], dtype=np.uint64)))
+        for j in (0, 1))
 
-    The order is the sampler's documented one: the Gaussians below the
-    diagonal row by row (beta=2: real and imaginary part in turn), the extra
-    Gaussians of the odd chi2 rows (beta=1), then the uniforms of the
-    diagonal sums, reduced by ``np.add.reduceat`` as the sampler does.
+
+def bartlett_factor(spectrum, config, normal, gamma):
+    """T = Lambda^(1/2) L of one sample, read entry by entry off the two generators.
+
+    The order is the sampler's documented one: off ``normal`` the Gaussians
+    below the diagonal row by row (beta=2: real and imaginary part in turn),
+    off ``gamma`` one Gamma variate per row, L_ii**2 = 2 Gamma((n - i + 1) / 2)
+    (beta=1) or Gamma(n - i + 1) (beta=2).
     """
     p, n, beta = config.p, config.n, config.beta
     lam = spectrum.lambdas
-    dof = [n - i for i in range(p)]
-    lower = p * (p - 1) // 2
-    odd = [i for i in range(p) if dof[i] % 2] if beta == 1 else []
-    z = stream.gaussians(beta * lower + len(odd))
-    group = dof if beta == 2 else [m // 2 for m in dof]
-    u = np.empty(sum(group))
-    stream.uniforms(u)
-    sums = -np.add.reduceat(np.log1p(-u), np.cumsum([0] + group[:-1]))
+    z = normal.standard_normal(beta * p * (p - 1) // 2)
+    g = gamma.standard_gamma([float(n - i) if beta == 2 else (n - i) / 2 for i in range(p)])
     t = np.zeros((p, p), dtype=complex if beta == 2 else float)
     k = 0
     for i in range(p):
@@ -100,18 +98,32 @@ def bartlett_factor(spectrum, config, stream):
             else:
                 t[i, j] = z[k] * np.sqrt(lam[i])
             k += 1
-        diag = sums[i] if beta == 2 else 2.0 * sums[i]
-        if i in odd:
-            diag += z[lower + odd.index(i)] ** 2
-        t[i, i] = np.sqrt(lam[i]) * np.sqrt(diag)
+        t[i, i] = np.sqrt(lam[i]) * np.sqrt(g[i] if beta == 2 else 2.0 * g[i])
     return t
 
 
-def uniforms_per_sample(config):
-    p, n, beta = config.p, config.n, config.beta
-    dof = [n - i for i in range(p)]
-    normals = beta * (p * (p - 1) // 2) + (sum(m % 2 for m in dof) if beta == 1 else 0)
-    return normals + normals % 2 + (sum(dof) if beta == 2 else sum(m // 2 for m in dof))
+def bartlett_factors(spectrum, config, count, seed):
+    """The first count factors of a batch at seed, one sample after the other."""
+    normal, gamma = keyed_generators(seed)
+    return np.stack([bartlett_factor(spectrum, config, normal, gamma) for _ in range(count)])
+
+
+def rows_per_chunk(config):
+    """Samples per chunk: as many as fit with their normals, Gammas and factor in CHUNK_DRAWS words."""
+    p = config.p
+    return CHUNK_DRAWS // (config.beta * p * (p - 1) // 2 + p + p * p)
+
+
+def recorded_factors(monkeypatch):
+    """The list that each stack of T the sampler passes to sigma_min is appended to, as a copy."""
+    stacks = []
+
+    def record(t):
+        stacks.append(t.copy())
+        return smallest_singular_value(t)
+
+    monkeypatch.setattr(sampler, "smallest_singular_value", record)
+    return stacks
 
 
 def two_sample_ks(a, b):
@@ -189,10 +201,9 @@ class TestSampleBatch:
         spec = EmpiricalSpectrum(lams)
         cfg = make_config(beta, len(lams), n)
         # by default two chunks and a remainder; at p=200 a chunk is one sample
-        count = count or 2 * (CHUNK_DRAWS // uniforms_per_sample(cfg)) + 7
+        count = count or 2 * rows_per_chunk(cfg) + 7
         batch = sample_batch(spec, cfg, count, seed=21)
-        stream = RngStream(21)
-        factors = np.stack([bartlett_factor(spec, cfg, stream) for _ in range(count)])
+        factors = bartlett_factors(spec, cfg, count, seed=21)
         # squared as the batch squares: one correctly rounded multiply;
         # each value of a stack is independent of the rest of it
         assert np.array_equal(batch.values, np.sort(smallest_singular_value(factors) ** 2))
@@ -200,56 +211,83 @@ class TestSampleBatch:
     @pytest.mark.parametrize(
         "beta, n", [(1, 9), (2, 6)], ids=["beta1-p4-n9", "beta2-p4-n6"])
     def test_chunked_factors_are_the_stream_factors(self, monkeypatch, beta, n):
-        stacks = []
-
-        def record(t):
-            stacks.append(t.copy())
-            return smallest_singular_value(t)
-
-        monkeypatch.setattr(sampler, "smallest_singular_value", record)
+        stacks = recorded_factors(monkeypatch)
         spec = EmpiricalSpectrum((0.5, 1.0, 2.0, 7.0))
         cfg = make_config(beta, 4, n)
-        count = 2 * (CHUNK_DRAWS // uniforms_per_sample(cfg)) + 5
+        count = 2 * rows_per_chunk(cfg) + 5
         sample_batch(spec, cfg, count, seed=-3)
         assert len(stacks) == 3
-        stream = RngStream(-3)
-        want = np.stack([bartlett_factor(spec, cfg, stream) for _ in range(count)])
-        assert np.array_equal(np.concatenate(stacks), want)
+        assert np.array_equal(np.concatenate(stacks), bartlett_factors(spec, cfg, count, seed=-3))
 
-    def test_one_uniforms_call_per_chunk(self, monkeypatch):
-        sizes = []
-        uniforms = RngStream.uniforms
+    def test_one_gaussians_and_one_gammas_call_per_chunk(self, monkeypatch):
+        calls = []
+        gaussians, gammas = RngStream.gaussians, RngStream.gammas
 
-        def record(stream, out):
-            sizes.append(out.shape)
-            uniforms(stream, out)
+        def record_gaussians(stream, count):
+            calls.append(("gaussians", count))
+            return gaussians(stream, count)
 
-        monkeypatch.setattr(RngStream, "uniforms", record)
+        def record_gammas(stream, shape):
+            calls.append(("gammas", len(shape)))
+            return gammas(stream, shape)
+
+        monkeypatch.setattr(RngStream, "gaussians", record_gaussians)
+        monkeypatch.setattr(RngStream, "gammas", record_gammas)
         spec = EmpiricalSpectrum(BENCH10_SPECTRUM)
         cfg = make_config(1, 10, 21)
-        width = uniforms_per_sample(cfg)
-        rows = CHUNK_DRAWS // width
+        rows = rows_per_chunk(cfg)
+        assert rows == 422
         sample_batch(spec, cfg, 2 * rows + 3, seed=6)
-        assert sizes == [(rows, width), (rows, width), (3, width)]
+        assert calls == [(name, size * k) for k in (rows, rows, 3)
+                         for name, size in (("gaussians", 45), ("gammas", 10))]
 
-    @pytest.mark.parametrize("beta, n", [(1, 13), (2, 12)], ids=["beta1-p10-n13", "beta2-p10-n12"])
-    def test_first_samples_do_not_depend_on_count(self, monkeypatch, beta, n):
-        stacks = []
-
-        def record(t):
-            stacks.append(t.copy())
-            return smallest_singular_value(t)
-
-        monkeypatch.setattr(sampler, "smallest_singular_value", record)
+    def test_memory_peak_at_real_p10_size(self):
+        # the benchmark's real-p10 batch; sizing the chunk by uniforms alone
+        # peaked at 2,399 KiB here, and so did the Box-Muller sampler before
         spec = EmpiricalSpectrum(BENCH10_SPECTRUM)
-        cfg = make_config(beta, 10, n)
-        rows = CHUNK_DRAWS // uniforms_per_sample(cfg)
+        cfg = make_config(1, 10, 21)
+        sample_batch(spec, cfg, 3, seed=1)  # first-call imports and caches are not the batch's
+        tracemalloc.start()
+        try:
+            sample_batch(spec, cfg, 5000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2399 * 1024
+
+    @pytest.mark.parametrize(
+        "beta, lams, n",
+        [(1, BENCH10_SPECTRUM, 13), (2, BENCH10_SPECTRUM, 12), (2, (1.0,) * 100 + (4.0,) * 100, 202)],
+        ids=["beta1-p10-n13", "beta2-p10-n12", "beta2-p200-n202"])
+    def test_first_samples_do_not_depend_on_count(self, monkeypatch, beta, lams, n):
+        stacks = recorded_factors(monkeypatch)
+        spec = EmpiricalSpectrum(lams)
+        cfg = make_config(beta, len(lams), n)
+        rows = rows_per_chunk(cfg)  # at p=200 one sample fills a chunk
         m = rows + 2  # chunks of rows and 2, against rows, rows and 5
         sample_batch(spec, cfg, m, seed=13)
         first = np.concatenate(stacks)
         stacks.clear()
         sample_batch(spec, cfg, m + rows + 3, seed=13)
         assert len(first) == m and np.array_equal(np.concatenate(stacks)[:m], first)
+
+    @pytest.mark.parametrize(
+        "beta, n", [(1, 5), (2, 3)], ids=["beta1-p4-n5", "beta2-p3-n3"])
+    def test_diagonal_entries_follow_their_law(self, monkeypatch, beta, n):
+        # L_ii**2 = |T_ii|**2 / lambda_i ~ chi2(n - i + 1) (beta=1) or Gamma(n - i + 1) (beta=2),
+        # down to Gamma shape 1, where numpy's Gamma method changes
+        laws = pytest.importorskip("scipy.stats", exc_type=ImportError)
+        stacks = recorded_factors(monkeypatch)
+        lams = (0.5, 1.0, 2.0, 7.0)[: 5 - beta]
+        spec = EmpiricalSpectrum(lams)
+        cfg = make_config(beta, len(lams), n)
+        sample_batch(spec, cfg, 20_000, seed=17)
+        squares = np.abs(np.diagonal(np.concatenate(stacks), axis1=1, axis2=2)) ** 2 / np.array(lams)
+        for i in range(len(lams)):
+            law = laws.chi2(n - i) if beta == 1 else laws.gamma(n - i)
+            x = np.sort(squares[:, i])
+            report = ks_statistic(x, law.cdf(x))
+            assert report.passed, f"row {i}: KS D = {report.statistic}"
 
     @pytest.mark.parametrize(
         "beta, p, n, seeds",
