@@ -28,10 +28,17 @@ Rayleigh quotient, and LAPACK's eigvalsh takes only the matrices whose
 certificate fails, such as near-ties.  Above, it comes from a Lanczos
 iteration that keeps only its last two vectors: each step applies A^H A
 to the newest one and takes the three-term recurrence, without
-reorthogonalization, and eigh gives the top Ritz pair.  A top eigenvalue
-keeps full relative accuracy either way, where the bottom one of T T^H
-would lose the squared condition number of T.  The input check reads the
-strictly upper triangle through a flat index built once per p.
+reorthogonalization, and eigh gives the top Ritz pair.  A matrix leaves
+at the first step where either of two rules holds.  Kato-Temple
+certifies the top Ritz value to eps once its residual is small enough
+against a bound on the second eigenvalue, which Weyl's inequality takes
+from the partition of A^H A by the Krylov space: the second Ritz value or
+the trace left outside that space, whichever is larger, plus the coupling
+beta_m.  The residual rule, the other exit, accepts a residual of
+RITZ_RTOL times the Ritz value.  A top eigenvalue keeps full relative
+accuracy either way, where the bottom one of T T^H would lose the squared
+condition number of T.  The input check reads the strictly upper triangle
+through a flat index built once per p.
 """
 
 from __future__ import annotations
@@ -256,17 +263,20 @@ def _jacobi_block(block, log_pref, beta, mant, expo, dmant=None, dexpo=None):
 
 
 # the Lanczos iteration stops once the top Ritz pair's residual is below
-# RITZ_RTOL times its Ritz value; that Ritz value is then within the same
-# relative distance of an eigenvalue of A^H A, so sigma_min within half of it
+# RITZ_RTOL times its Ritz value, if the Kato-Temple certificate has not
+# stopped it first; that Ritz value is then within the same relative
+# distance of an eigenvalue of A^H A, so sigma_min within half of it
 RITZ_RTOL = 2.0 ** -45
 # diagonal blocks up to this size are inverted by row substitution
 _INV_LEAF = 32
 # matrices up to this many rows, per dtype, take their top eigenvalue from the
-# Gram matrix (_gram_top), and larger ones from Lanczos.  On one CPU a
-# Gram-matrix eigvalsh takes less time than the Lanczos steps up to about 36
-# rows for complex stacks and beyond 80 for real ones, and the certificate
-# less than the eigvalsh; real stacks stop at 64, where the Gram path's
-# worst-case error bound (see _top_eigenvalue) is still below 5e-13
+# Gram matrix (_gram_top), and larger ones from Lanczos.  Where the two cost
+# the same depends on n - p, which sets the Lanczos steps.  Measured on one
+# CPU over sampler chunks, with both paths' certificates: near the hard edge
+# (n - p <= 2) the Gram path takes less time up to about 64 real and 30
+# complex rows, at n - p = 10 beyond 96 real and up to about 48 complex rows,
+# and at n = 2p beyond both.  Real stacks also stop at 64, where the Gram
+# path's worst-case error bound (see _top_eigenvalue) is still below 5e-13
 _GRAM_ROWS = {np.dtype(np.float64): 64, np.dtype(np.complex128): 32}
 # Gram matrices from this many rows up, per dtype, are first tried by the
 # Kato-Temple certificate (_gram_top).  Below, one eigvalsh costs less than
@@ -286,8 +296,9 @@ _CERTIFY_ROWS = {np.dtype(np.float64): 3, np.dtype(np.complex128): 6}
 # more.  Squarings must stay below 8, where p**m would leave double range
 # (see _gram_top)
 _SQUARINGS = {np.dtype(np.float64): 7, np.dtype(np.complex128): 6}
-# relative margin on the computed tr(B**m) / theta**m of the certificate
-# (see _kato_temple); the measured rounding of that ratio is below 5e-14
+# relative margin on the computed tr(B**m) / theta**m of the Gram path's
+# certificate (see _kato_temple), whose measured rounding is below 5e-14,
+# and on the Lanczos bound mu on lambda_2 (see _top_eigenvalue)
 _TRACE_MARGIN = 2.0 ** -30
 _EPS = np.finfo(float).eps
 
@@ -392,29 +403,46 @@ def _tril_invert(s):
 
 
 def _substitute(a):
-    """Overwrite each lower-triangular matrix T of the contiguous stack a with its inverse A.
+    """Overwrite each lower-triangular matrix T of the stack a with its inverse A.
 
     Row i of T A = I gives A_i = (e_i - T_{i,<i} A_{<i}) / T_ii, so rows
     are computed top down and row i of A overwrites row i of T, which no
     later row reads.  Each A_ij is the forward substitution for T x = e_j,
     so the computed A satisfies |T A - I| <= c * m * eps * |T| |A| for an
     m-row matrix; the products are batched matmuls over the whole stack.
+    The diagonal 1 / T_ii is written first, with -T_ii kept aside, so each
+    row takes one statement.
     """
-    for i in range(a.shape[1]):
-        a[:, i, :i] = (a[:, i : i + 1, :i] @ a[:, :i, :i])[:, 0] / -a[:, i, i, None]
-        a[:, i, i] = 1.0 / a[:, i, i]
+    diagonal = np.einsum("kii->ki", a)  # a writable view
+    neg = -diagonal
+    diagonal[...] = 1.0 / diagonal
+    for i in range(1, a.shape[1]):
+        a[:, i, :i] = (a[:, i : i + 1, :i] @ a[:, :i, :i])[:, 0] / neg[:, i, None]
 
 
-def _start_vector(p):
-    """Fixed unit start vector of the Lanczos iteration.
+def _start_vector(a):
+    """Unit start vectors of the Lanczos iteration, one per matrix A of the stack a.
 
-    Entries 2*frac(i*phi) - 1 (phi the golden ratio) and a first entry of 1:
-    deterministic, with no sign or size pattern that a structured matrix
-    could be orthogonal to.
+    The sum of two unit vectors.  One is fixed: entries 2*frac(i*phi) - 1
+    (phi the golden ratio) and a first entry of 1, deterministic, with no
+    sign or size pattern that a structured matrix could be orthogonal to.
+    The other is +-A^H e_p, the conjugate of A's last row: the inverse of a
+    Bartlett factor has its largest row last as a rule, so this is close
+    to one power step for free.  The row is scaled by its largest entry
+    first, so that its norm cannot underflow, and its sign makes the real
+    part of its inner product with the fixed part non-negative, so that the
+    sum cannot cancel.  The fixed part must stay: for a diagonal A, A^H e_p
+    alone is an eigenvector of A^H A, often not the top one.
     """
-    v = 2.0 * ((np.arange(p) * 0.6180339887498949) % 1.0) - 1.0
-    v[0] = 1.0
-    return v / math.sqrt(float(v @ v))
+    p = a.shape[1]
+    u = 2.0 * ((np.arange(p) * 0.6180339887498949) % 1.0) - 1.0
+    u[0] = 1.0
+    u /= math.sqrt(float(u @ u))
+    row = a[:, -1].conj()
+    row = row / np.maximum(np.abs(row).max(axis=1), np.finfo(float).tiny)[:, None]  # a zero row stays zero
+    row *= (np.sign((row @ u).real) / np.sqrt(np.maximum(_norm2(row), 1.0)))[:, None]
+    v = u + row
+    return v / np.sqrt(_norm2(v))[:, None]
 
 
 def _top_eigenvalue(a):
@@ -438,13 +466,43 @@ def _top_eigenvalue(a):
     eigenvalue would lose the squared condition number instead.
 
     Above, each Lanczos step takes the three-term recurrence
-    w = A^H A v_j - beta_{j-1} v_{j-1} - alpha_j v_j, v_{j+1} = w / beta_j,
-    which extends the tridiagonal T_m.  Only v_j and v_{j-1} are kept and
-    nothing is reorthogonalized (see ``_ritz_step``).  A matrix leaves once
-    ``_ritz_step`` finds its top Ritz pair converged, at step p at the
-    latest, where beta_p is taken as zero.  Only the matrices still
-    iterating are carried on, and each step is computed matrix by matrix,
-    so every value is independent of the stack around it.
+    w = A^H A v_j - beta_{j-1} v_{j-1} - alpha_j v_j, v_{j+1} = w / beta_j
+    from ``_start_vector``, and writes alpha_j and beta_{j-1} into the
+    tridiagonal T_m, held in a buffer that doubles when it fills.  Only
+    v_j and v_{j-1} are kept and nothing is reorthogonalized.  A matrix
+    leaves once ``_ritz_step`` accepts its top Ritz value theta, by
+    whichever of two rules holds first, and at step p at the latest, where
+    beta_p is taken as zero:
+
+    - Kato-Temple.  In the basis [V_m, V_m^perp], B = A^H A is
+      [[T_m, E], [E^H, C]] with ||E|| = beta_m.  C is positive
+      semidefinite, so lambda_1(C) <= tr C = tr B - sum alpha_j, and
+      Weyl's inequality bounds lambda_2(B) by
+      mu = (max(theta_2, tr B - sum alpha_j) + beta_m) (1 + _TRACE_MARGIN),
+      theta_2 the second Ritz value.  tr B is taken once per matrix, as
+      ||A||_F**2.  Where mu < theta, the residual r = beta_m |y_m| of the
+      top Ritz pair (theta, y) gives theta <= lambda_1 <= theta (1 + eps)
+      once r**2 <= eps * theta * (theta - mu) (``_certified``), so theta
+      is accurate to eps * theta up to the roundings of the recurrence.
+    - The residual rule, r <= RITZ_RTOL * theta: theta is then within
+      RITZ_RTOL * theta of an eigenvalue of B.
+
+    The residual rule stays for two reasons.  Where the rest of the
+    spectrum holds more than theta of tr B, as for n well above p, the
+    trace bound never falls below theta.  And it ends the iteration before
+    rounding can spoil sum alpha_j: by Paige's analysis, orthogonality
+    among the Lanczos vectors is lost only along Ritz vectors that have
+    converged, in proportion to eps ||B|| / r.  A certificate that holds as
+    soon as r falls to sqrt(eps * theta * (theta - mu)), as near the hard
+    edge, finds a basis orthonormal to about sqrt(eps), so sum alpha_j is
+    the trace of a near-orthonormal compression of B, off by about
+    eps * theta, far inside the margin; and the residual rule stops the
+    iteration before that loss reaches eps / RITZ_RTOL = 2**-7.  A ghost
+    copy of theta, which orthogonality lost in full would add to T_m,
+    would also put theta_2 at theta and fail the test mu < theta.
+    Only the matrices still iterating are carried on, and each step is
+    computed matrix by matrix, so every value is independent of the stack
+    around it.
     """
     top = np.maximum(a.view(np.float64).max(axis=(1, 2)), -a.view(np.float64).min(axis=(1, 2)))
     if not np.all(np.isfinite(top)):
@@ -454,45 +512,68 @@ def _top_eigenvalue(a):
     k, p, _ = a.shape
     if p <= _GRAM_ROWS[a.dtype]:
         return _gram_top(a), f
-    v = np.broadcast_to(_start_vector(p).astype(a.dtype), (k, p))
-    alpha = np.empty((p, k))
-    beta2 = np.empty((p, k))  # beta2[j] = beta_j**2 couples rows j and j+1 of T
+    # tr(A^H A) - sum alpha_j: the trace bound on lambda_1(C)
+    rest = np.array([np.vdot(m, m).real for m in a])
+    v = _start_vector(a)
+    tri = np.zeros((k, 8, 8))  # T_m in its leading m x m block, lower triangle only
     theta, rows = np.empty(k), np.arange(k)
     for j in range(p):
+        if j == tri.shape[1]:
+            tri = np.pad(tri, ((0, 0), (0, j), (0, j)))
         # A^H (A v) as the conjugate of (A v)^H A
         w = ((a @ v[..., None]).conj().swapaxes(1, 2) @ a)[:, 0].conj()
         if j:
-            w -= np.sqrt(beta2[j - 1])[:, None] * v_prev
-        alpha[j] = (v[:, None, :] @ w.conj()[..., None])[:, 0, 0].real
-        w -= alpha[j][:, None] * v
+            w -= beta[:, None] * v_prev
+            tri[:, j, j - 1] = beta
+        alpha = (v[:, None, :] @ w.conj()[..., None])[:, 0, 0].real
+        w -= alpha[:, None] * v
+        tri[:, j, j] = alpha
+        rest -= alpha
         norm2 = (w.conj()[:, None, :] @ w[..., None])[:, 0, 0].real
         if j == p - 1:
             norm2[:] = 0.0
-        ritz, conv = _ritz_step(alpha[: j + 1], beta2[:j], norm2)
-        if np.any(conv):
+        ritz, conv = _ritz_step(tri[:, : j + 1, : j + 1], norm2, rest)
+        if conv.any():
             theta[rows[conv]] = ritz[conv]
             keep = ~conv
-            if not np.any(keep):
+            if not keep.any():
                 break
             rows, a, v, w = rows[keep], a[keep], v[keep], w[keep]
-            alpha, beta2, norm2 = alpha[:, keep], beta2[:, keep], norm2[keep]
-        beta2[j] = norm2
-        v_prev, v = v, w / np.sqrt(norm2)[:, None]
+            tri, rest, norm2 = tri[keep], rest[keep], norm2[keep]
+        beta = np.sqrt(norm2)
+        v_prev, v = v, w / beta[:, None]
     return theta, f
 
 
-def _ritz_step(alpha, beta2, norm2):
-    """The top Ritz value theta of each tridiagonal T_m and whether its residual is small.
+def _ritz_step(t, norm2, rest):
+    """The top Ritz value theta of each tridiagonal T_m and whether it is accepted.
 
-    ``alpha`` (m, k) and ``beta2`` (m - 1, k) hold the diagonals and squared
-    off-diagonals of T_m, ``norm2`` the squared beta_m of the next Lanczos
-    vector.  Returns (theta, conv), conv where beta_m is zero or the
-    residual beta_m * |y_m| of the top Ritz pair (theta, y) from LAPACK's
-    eigh is at most ``RITZ_RTOL`` * theta.  That pair is exact for T_m + E,
-    ||E|| of order m * eps * theta, so the true residual of the Ritz pair of
-    A^H A is beta_m * |y_m| to within ||E||: below RITZ_RTOL * theta for m < 128.
+    ``t`` (k, m, m) holds T_m in its lower triangle, which is all that
+    LAPACK's eigh reads, ``norm2`` the squared beta_m of the next Lanczos
+    vector and ``rest`` tr(A^H A) - sum alpha_j.  eigh gives the top Ritz
+    pair (theta, y) and the second Ritz value theta_2 (0 for m = 1), and
+    r**2 = beta_m**2 y_m**2 is the squared residual of the top Ritz pair of
+    A^H A.  A matrix is accepted where beta_m is zero, or by either rule:
 
-    No Lanczos vector is reorthogonalized, and this test needs none (Paige,
+    - Kato-Temple (``_certified``).  The part C of A^H A outside the
+      Krylov space is positive semidefinite, so its top eigenvalue is at
+      most tr C = ``rest``, and Weyl's inequality on the partition
+      [[T_m, E], [E^H, C]], ||E|| = beta_m, bounds lambda_2 by
+      mu = (max(theta_2, rest) + beta_m) (1 + ``_TRACE_MARGIN``).  Where
+      mu < theta and r**2 <= eps * theta * (theta - mu), theta is within
+      eps * theta below lambda_max(A^H A).
+    - The residual rule, r <= ``RITZ_RTOL`` * theta.  It stays because
+      the trace bound never falls below theta where the rest of the
+      spectrum holds more than theta of the trace, and because it ends the
+      iteration while orthogonality is lost only along converged Ritz
+      vectors, so that sum alpha_j stays the trace of a near-orthonormal
+      compression (see ``_top_eigenvalue``).
+
+    The eigh pair is exact for T_m + E, ||E|| of order m * eps * theta, so
+    the true residual is beta_m * |y_m| to within ||E||: below
+    RITZ_RTOL * theta for m < 128 under the residual rule.
+
+    No Lanczos vector is reorthogonalized, and these tests need none (Paige,
     J. Inst. Maths Applics 18, 1976; Linear Algebra Appl. 34, 1980).  In
     floating point the Lanczos relation still holds up to a term of order
     m * eps * ||A^H A||, orthogonality is lost only along Ritz vectors that
@@ -500,13 +581,24 @@ def _ritz_step(alpha, beta2, norm2):
     is small lies within about that residual, plus that rounding term, of
     an eigenvalue of A^H A.  The matrix leaves the iteration at that step.
     """
-    m, k = alpha.shape
-    t, i = np.zeros((k, m, m)), np.arange(m)
-    t[:, i, i] = alpha.T
-    t[:, i[1:], i[:-1]] = np.sqrt(beta2.T)  # eigh reads the lower triangle
     values, vectors = np.linalg.eigh(t)
     theta = values[:, -1]
-    return theta, (norm2 == 0.0) | (norm2 * vectors[:, -1, -1] ** 2 <= (RITZ_RTOL * theta) ** 2)
+    r2 = norm2 * vectors[:, -1, -1] ** 2
+    second = values[:, -2] if t.shape[1] > 1 else 0.0
+    mu = (np.maximum(second, rest) + np.sqrt(norm2)) * (1.0 + _TRACE_MARGIN)
+    return theta, (norm2 == 0.0) | (r2 <= (RITZ_RTOL * theta) ** 2) | _certified(theta, mu, r2)
+
+
+def _certified(theta, mu, r2):
+    """Kato-Temple (Parlett, The Symmetric Eigenvalue Problem, 1998, sec. 10.6) for a top eigenvalue.
+
+    theta is a Rayleigh quotient of a Hermitian B with residual norm
+    sqrt(r2), and mu bounds its second eigenvalue.  Where mu < theta,
+    lambda_1 is the only eigenvalue above mu, and
+    theta <= lambda_1 <= theta + r2 / (theta - mu).  True where that upper
+    end is at most theta (1 + eps).
+    """
+    return (mu < theta) & (r2 <= _EPS * theta * (theta - mu))
 
 
 def _gram_top(a):
@@ -600,8 +692,8 @@ def _kato_temple(a, c, g, m):
     theta = _norm2(ax[..., 0]) / xx
     r2 = _norm2(y - theta[:, None] * x) / xx
     bound = d.sum(axis=1) / (theta * np.ldexp(1.0, -g)) ** m * (1.0 + _TRACE_MARGIN) - 1.0
-    root = np.maximum(bound, 0.0) ** (1.0 / m)  # mu / theta
-    return theta, (bound > 0.0) & (root < 1.0) & (r2 <= _EPS * theta * theta * (1.0 - root))
+    mu = theta * np.maximum(bound, 0.0) ** (1.0 / m)
+    return theta, (bound > 0.0) & _certified(theta, mu, r2)
 
 
 def _norm2(x):

@@ -416,10 +416,11 @@ def assert_mpmath_bracket(t, sigma, delta):
 def test_lanczos_path_against_mpmath_bracket(beta, p):
     # above _GRAM_ROWS sigma_min comes from the Lanczos iteration, without
     # reorthogonalization, bracketed here at delta = c * p * eps with c = 1.
-    # The top Ritz value stops at a residual of RITZ_RTOL = 2.8e-14 times
-    # itself, and its error is of the order of that residual squared over
-    # the gap; these draws pass at c = 0.1 too.  A Cholesky at p=200 takes
-    # ~1.5 s real and ~3.5 s complex, so that size is slow
+    # The top Ritz value stops once the Kato-Temple certificate puts it
+    # within eps of the top eigenvalue, or at a residual of RITZ_RTOL =
+    # 2.8e-14 times itself, with an error of the order of that residual
+    # squared over the gap; these draws pass at c = 0.1 too.  A Cholesky at
+    # p=200 takes ~1.5 s real and ~3.5 s complex, so that size is slow
     rng = np.random.default_rng(10 * p + beta)
     lams = np.geomspace(0.5, 2.0, p)
     rng.shuffle(lams)
@@ -568,12 +569,22 @@ def _ritz_cases(m, rng, k=50):
     return alpha, beta2, norm2, top[:, 0], top[:, 1]
 
 
+def _tridiagonal_stack(alpha, beta2):
+    """The (k, m, m) stack of T_m as _ritz_step takes it: diagonals alpha (m, k), off-diagonals sqrt(beta2) below."""
+    m, k = alpha.shape
+    t, i = np.zeros((k, m, m)), np.arange(m)
+    t[:, i, i] = alpha.T
+    t[:, i[1:], i[:-1]] = np.sqrt(beta2.T)
+    return t
+
+
 @pytest.mark.parametrize("m", range(1, 13))
 def test_ritz_step_against_decimal_eigenvector(m):
     # theta is LAPACK's top eigenvalue, a reported convergence holds for the
-    # exact eigenvector, and an unconverged pair is not within half the bound
+    # exact eigenvector, and an unconverged pair is not within half the bound.
+    # An infinite trace bound leaves the residual rule alone
     alpha, beta2, norm2, top, last2 = _ritz_cases(m, np.random.default_rng(100 + m))
-    theta, conv = _ritz_step(alpha, beta2, norm2)
+    theta, conv = _ritz_step(_tridiagonal_stack(alpha, beta2), norm2, np.full(len(norm2), np.inf))
     for i in range(alpha.shape[1]):
         want = np.linalg.eigvalsh(_tridiagonal(alpha[:, i], beta2[:, i]))[-1]
         assert theta[i] == pytest.approx(want, rel=8 * np.finfo(float).eps, abs=0.0)
@@ -586,6 +597,128 @@ def test_ritz_step_against_decimal_eigenvector(m):
             assert residual > 0.5 * RITZ_RTOL * top[i]
     assert np.all(conv[norm2 == 0.0])
     assert 3 < np.count_nonzero(conv) < len(conv)
+
+
+def _stress_pairs(dtype, p, tails):
+    """(gap, U diag(s), V^H), p x p, with the top squared singular values 1 and 1 - gap.
+
+    One per gap from 0.5 to 1e-12 and at 0, an exact tie, for each tail of
+    squared singular values: "decaying" 0.4 * 2**-k down to 1e-6, "flat"
+    0.3 / (p - 2) each, and "zero" 1e-30 each.  U and V are random unitary.
+    """
+    rng = np.random.default_rng(p)
+
+    def unitary():
+        x = rng.standard_normal((p, p))
+        return np.linalg.qr(x + 1j * rng.standard_normal((p, p)) if dtype is complex else x)[0]
+
+    rests = {"decaying": np.maximum(0.4 * 0.5 ** np.arange(p - 2), 1e-6),
+             "flat": np.full(p - 2, 0.3 / (p - 2)), "zero": np.full(p - 2, 1e-30)}
+    pairs = []
+    for tail in tails:
+        for gap in (0.5, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 0.0):
+            s = np.sqrt(np.concatenate(([1.0, 1.0 - gap], rests[tail])))
+            pairs.append((gap, unitary() * s, unitary().conj().T))
+    return pairs
+
+
+def _record_certificates(monkeypatch):
+    """The (mu, certified) of every _certified call of a Lanczos iteration, in order."""
+    certified, steps = linalg._certified, []
+
+    def certificate(theta, mu, r2):
+        ok = certified(theta, mu, r2)
+        steps.extend(zip(mu.tolist(), ok.tolist()))
+        return ok
+
+    monkeypatch.setattr(linalg, "_certified", certificate)
+    return steps
+
+
+@pytest.mark.parametrize("dtype, p", [(complex, 40), (float, 70)], ids=["complex-p40", "real-p70"])
+def test_lanczos_certificate_is_sound(dtype, p, monkeypatch):
+    # T is the LQ factor of (U diag(s) V^H)^-1, so sigma_min(T) is 1 up to
+    # rounding; the tails keep its condition number at 1e3.  A matrix that
+    # leaves by the Kato-Temple certificate has sigma_min inside the
+    # 30-digit bracket at 16 eps (these pass at 2 eps).  An exact tie, whose
+    # second top eigenvector lies outside the Krylov space and puts mu at or
+    # above theta, is never certified; it leaves by the residual rule.  Here
+    # 7 of the 16 matrices are certified, among them the gaps 1e-6 and 1e-8
+    # with the flat tail, where the Krylov space holds both top
+    # eigenvectors after 3 steps.  Each matrix runs alone, so the last step
+    # recorded is its exit
+    steps, certified = _record_certificates(monkeypatch), 0
+    for gap, us, vh in _stress_pairs(dtype, p, ("decaying", "flat")):
+        t = tril_factor(np.linalg.inv(us @ vh))
+        assert p > _GRAM_ROWS[t.dtype]
+        steps.clear()
+        sigma = smallest_singular_value(t)
+        if steps[-1][1]:
+            assert_mpmath_bracket(t, sigma, 16 * EPS)
+            certified += 1
+        if gap == 0.0:
+            assert not any(ok for _, ok in steps)
+    assert certified >= 6
+
+
+@pytest.mark.parametrize("dtype, p", [(complex, 40), (float, 70)], ids=["complex-p40", "real-p70"])
+def test_lanczos_trace_bound_holds_at_every_step(dtype, p, monkeypatch):
+    # mu = (max(theta_2, tr B - sum alpha_j) + beta_m) (1 + margin) is at or
+    # above lambda_2 of B = A^H A at every step, certified or not.  With the
+    # zero tail, tr B - sum alpha_j falls to rounding once the Krylov space
+    # holds the top pair, and theta_2 meets lambda_2 from below
+    steps = _record_certificates(monkeypatch)
+    for gap, us, vh in _stress_pairs(dtype, p, ("decaying", "flat", "zero")):
+        a = (us @ vh)[None]
+        steps.clear()
+        linalg._top_eigenvalue(a)  # scales a in place: the units of mu
+        second = np.linalg.eigvalsh(a[0].conj().T @ a[0])[-2]
+        assert all(mu >= second for mu, _ in steps), gap
+
+
+@pytest.mark.parametrize("dtype, p", [(float, 72), (complex, 40)], ids=["real-p72", "complex-p40"])
+def test_lanczos_diagonal_with_smallest_entry_inside(dtype, p):
+    # for a diagonal T, A^H e_p alone, the row part of the start vector, is
+    # an eigenvector of A^H A for 1 / T_pp**2; the fixed part still finds
+    # the smallest |T_ii|, here in row 17
+    d = np.linspace(1.0, 3.0, p)
+    d[17] = 0.5
+    t = np.diag(d).astype(dtype)
+    assert p > _GRAM_ROWS[t.dtype]
+    assert smallest_singular_value(t) == pytest.approx(0.5, rel=4 * EPS, abs=0.0)
+
+
+def _steps_per_matrix(t, monkeypatch, certificate=True):
+    """Lanczos steps (_ritz_step calls) of each matrix of the stack t, each run alone."""
+    ritz_step, calls = linalg._ritz_step, []
+    monkeypatch.setattr(linalg, "_ritz_step", lambda *args: calls.append(1) or ritz_step(*args))
+    if not certificate:
+        monkeypatch.setattr(linalg, "_certified", lambda theta, mu, r2: np.zeros(theta.shape, bool))
+    steps = []
+    for m in t:
+        calls.clear()
+        smallest_singular_value(m)
+        steps.append(len(calls))
+    monkeypatch.undo()
+    return np.array(steps)
+
+
+@pytest.mark.parametrize(
+    "beta, lams, n",
+    [(2, (1.0,) * 100 + (4.0,) * 100, 202), (1, tuple(np.geomspace(0.5, 2.0, 100)), 1001)],
+    ids=["beta2-p200-n202", "beta1-p100-n1001"])
+def test_certificate_saves_lanczos_steps(beta, lams, n, monkeypatch):
+    # the certificate is a second exit, so no matrix takes more steps than
+    # under the residual rule alone.  Near the hard edge (n = p + 2) it
+    # saves 28% of them here (7.8 against 10.9 per matrix); at n = 1001 the
+    # trace of A^H A lies mostly outside the top pair, and the certificate
+    # never holds on these draws
+    t = bartlett_factors(np.random.default_rng(n), np.array(lams), n, 20, beta)
+    both = _steps_per_matrix(t, monkeypatch)
+    residual = _steps_per_matrix(t, monkeypatch, certificate=False)
+    assert np.all(both <= residual)
+    if n == 202:
+        assert both.mean() <= 0.8 * residual.mean()
 
 
 def _grid_case(case, mode):
