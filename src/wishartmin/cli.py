@@ -23,6 +23,7 @@ batch, so bad input exits before the sampling it would waste.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -145,11 +146,11 @@ def _grid(lo: float, hi: float, steps: int, name: str) -> np.ndarray:
 
 def _write_csv(path: str, argv, header: str, columns):
     """Float columns as CSV rows under the ``# command:`` line and ``header``."""
-    lines = [f"# command: {_command_line(argv)}", header]
-    # tolist() gives Python floats: a numpy scalar's repr is not a plain number
-    for row in zip(*(c.tolist() for c in columns)):
-        lines.append(",".join(repr(v) for v in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    # one %-format per row; tolist() gives Python floats, whose %r is their
+    # repr: a numpy scalar's repr is not a plain number
+    row = ",".join(["%r"] * len(columns)) + "\n"
+    rows = "".join(map(row.__mod__, zip(*(c.tolist() for c in columns))))
+    _write_atomic(path, f"# command: {_command_line(argv)}\n{header}\n{rows}")
 
 
 def cmd_exact(args, argv) -> int:
@@ -248,12 +249,19 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser.  An argparse parser is a web of reference
+    cycles: one built per ``main`` call outlives the call until a full
+    garbage collection, so peak memory crept with the number of calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args, argv)
     except (ValueError, ArithmeticError, MemoryError) as exc:

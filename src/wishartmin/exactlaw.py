@@ -26,6 +26,13 @@ exponents (kernel_coefficients).  The law hands linalg.jacobi_gap_density
 its grid, the constant -gamma * log det(lam), the rate r and a provider
 that evaluates them by Horner's rule in that form, one chunk of points at a
 time; the engine builds the prefactor and blocks the values and kernels.
+Horner runs in two levels (_horner): each row's L = p + 1 coefficients,
+padded with zeros at the high-power end, form blocks of ceil(sqrt(L)); one
+loop evaluates every block in t, a second combines the blocks in t**b, so a
+grid takes about 3 sqrt(L) Python-level steps instead of L - 1, in passes
+of at most HORNER_STACK elements.  Rows of at most HORNER_ONE_BLOCK
+coefficients are one block and keep the plain loop's bits.  Every f_s is
+within gamma_n, n < L + 3 ceil(sqrt(L)), of its exact value.
 ExactLaw.curve takes gap and density from one engine call; gap_grid skips
 Q' for the KS test of ``verify``.  t = 0 reads the constant coefficients
 directly.  The scalar gap and density are 1-point calls into that engine,
@@ -49,6 +56,16 @@ from .spectra import (
     elementary_symmetric,
     inverse_trace_half_beta,
 )
+
+# elements of one (blocks * rows, points) stack of _horner's blocked rows;
+# each pass takes as many points as fit.  Against 2**14, 2**16 and 2**17 on
+# one CPU (L = 18 to 1001, 3 to 38 rows, 51 to 20,000 points), 2**15 was the
+# fastest at most sizes and never above 1.13x the fastest
+HORNER_STACK = 1 << 15
+# rows of at most this many coefficients are one Horner block, which keeps
+# the plain loop's bits.  Blocks would take 0.71-1.40x its time at L = 11 and
+# 0.57-1.07x at L = 16 (6 to 38 rows, 11 to 20,000 points, one CPU)
+HORNER_ONE_BLOCK = 16
 
 __all__ = [
     "KernelPolynomial",
@@ -183,28 +200,90 @@ class ExactLaw:
 
 
 def _horner(cm, ce, ts):
-    """Horner evaluation of polynomials in mantissa/exponent form.
+    """Horner evaluation of polynomials in mantissa/exponent form, in blocks.
 
-    Row r of ``cm``/``ce`` holds the coefficients of one polynomial, highest
-    power first.  Every step rounds like a float Horner step, but the value
-    is carried as mantissa * 2**exponent with a separate integer exponent,
-    so no step overflows or underflows.  Returns (mantissa, exponent) arrays
-    of shape (len(ts), rows); zero values keep an exponent near ZERO_EXP,
-    far below every nonzero one.
+    Row r of ``cm``/``ce`` holds the L coefficients of one polynomial,
+    highest power first.  Every step rounds like a float Horner step, but the
+    value is carried as mantissa * 2**exponent with a separate integer
+    exponent, so no step overflows or underflows.  Returns (mantissa,
+    exponent) arrays of shape (len(ts), rows); zero values keep an exponent
+    near ZERO_EXP, far below every nonzero one.
+
+    A row of L > HORNER_ONE_BLOCK coefficients is padded at its high-power
+    end with zeros (mantissa 0, exponent ZERO_EXP) to m = ceil(L/b) blocks of
+    b = ceil(sqrt(L)) coefficients.  One Horner loop of b - 1 steps in t
+    evaluates every block at once; a second loop of m - 1 steps runs Horner
+    over the block values with t**b, formed by b - 1 multiplications, as the
+    multiplier.  That is about 3 sqrt(L) Python-level steps instead of L - 1.
+    A row of at most HORNER_ONE_BLOCK coefficients is one block (b = L): the
+    second loop is empty, t**b is never formed, and every bit is the plain
+    Horner loop's.  At t = 0 both t and t**b carry the exponent ZERO_EXP
+    (set, never scaled by b), so each step leaves only the next coefficient.
+
+    Error bound.  The coefficients and t are >= 0, so the computed value is
+    the exact one times (1 + theta), |theta| <= gamma_n = n u / (1 - n u),
+    u = 2**-53, where n is the largest number of roundings on any term's
+    path (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, section 5.1; alignment shifts are exact or underflow far below u).
+    The block loop gives a term up to 2(b - 1) roundings and each outer step
+    b + 1, so n <= L + 2b + m - 4 < L + 3 ceil(sqrt(L)); a single block has
+    n = 2(L - 1).
+
+    Blocked rows are evaluated in passes of as many points as keep the
+    (blocks * rows, points) stack within HORNER_STACK elements; single-block
+    rows take the whole chunk in one pass.  Every operation acts on each
+    point alone, so a value depends neither on the passes nor on the rest of
+    the grid.
     """
+    rows, size = cm.shape
+    width = size if size <= HORNER_ONE_BLOCK else math.isqrt(size - 1) + 1
+    blocks = -(-size // width)
+    # coefficient k of row r in block j at [k, j * rows + r, 0]; the padding
+    # zeros lead block 0, at the high-power end
+    bm = np.zeros((blocks * width, rows))
+    be = np.full((blocks * width, rows), ZERO_EXP, dtype=np.int32)
+    bm[blocks * width - size:], be[blocks * width - size:] = cm.T, ce.T
+    bm = bm.reshape(blocks, width, rows).transpose(1, 0, 2).reshape(width, blocks * rows, 1)
+    be = be.reshape(blocks, width, rows).transpose(1, 0, 2).reshape(width, blocks * rows, 1)
     tm, te = np.frexp(ts)
-    tm = tm[:, None]
+    zero = ts == 0.0
+    if blocks > 1:
+        # t**b: a product of b mantissas in [1/2, 1) stays normal for b < 1022
+        pm = tm.copy()
+        for _ in range(width - 1):
+            pm *= tm
+        pm, pe = np.frexp(pm)
+        pe = np.where(zero, ZERO_EXP, pe + width * te.astype(np.int64)).astype(np.int32)
     # at t = 0 each step leaves only the next coefficient: the sentinel keeps
     # the zeroed accumulator from setting the alignment exponent
-    te = np.where(ts == 0.0, ZERO_EXP, te).astype(np.int32)[:, None]
-    am = np.repeat(cm[None, :, 0], ts.size, axis=0)
-    ae = np.repeat(ce[None, :, 0], ts.size, axis=0)
-    for k in range(1, cm.shape[1]):
-        am *= tm
-        ae += te
-        top = np.maximum(ae, ce[:, k])
-        np.ldexp(am, np.subtract(ae, top, out=ae), out=am)
-        am += np.ldexp(cm[:, k], ce[:, k] - top)
-        np.frexp(am, out=(am, ae))
-        ae += top
-    return am, ae
+    te = np.where(zero, ZERO_EXP, te).astype(np.int32)
+    step = max(1, ts.size if blocks == 1 else HORNER_STACK // max(blocks * rows, 1))
+    mant, expo = np.empty((rows, ts.size)), np.empty((rows, ts.size), dtype=np.int32)
+    for start in range(0, ts.size, step):
+        part = slice(start, start + step)
+        tp, ep = tm[part], te[part]
+        am, ae = np.repeat(bm[0], tp.size, axis=1), np.repeat(be[0], tp.size, axis=1)
+        top, term = np.empty_like(ae), np.empty_like(am)
+        for k in range(1, width):
+            _horner_step(am, ae, tp, ep, bm[k], be[k], top, term)
+        for j in range(1, blocks):
+            block = slice(j * rows, (j + 1) * rows)
+            _horner_step(am[:rows], ae[:rows], pm[part], pe[part], am[block], ae[block],
+                         top[:rows], term[:rows])
+        mant[:, part], expo[:, part] = am[:rows], ae[:rows]
+    return mant.T, expo.T
+
+
+def _horner_step(am, ae, tm, te, cm, ce, top, term):
+    """One Horner step in place, am * 2**ae <- am * 2**ae * tm * 2**te + cm * 2**ce.
+
+    ``top`` and ``term`` are scratch arrays shaped like ``ae`` and ``am``, so
+    a step allocates nothing.
+    """
+    am *= tm
+    ae += te
+    np.maximum(ae, ce, out=top)
+    np.ldexp(am, np.subtract(ae, top, out=ae), out=am)
+    am += np.ldexp(cm, np.subtract(ce, top, out=ae), out=term)
+    np.frexp(am, out=(am, ae))
+    ae += top

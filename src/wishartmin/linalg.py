@@ -380,17 +380,7 @@ def _tril_invert(s):
         _substitute(s)
         return
     leaves, joins = {}, []  # first rows of the leaves by size; splits after those in their halves
-
-    def split(lo, hi):
-        if hi - lo <= _INV_LEAF:
-            leaves.setdefault(hi - lo, []).append(lo)
-            return
-        mid = (lo + hi) // 2
-        split(lo, mid)
-        split(mid, hi)
-        joins.append((lo, mid, hi))
-
-    split(0, p)
+    _split(0, p, leaves, joins)
     for size, starts in leaves.items():
         blocks = [(slice(None), slice(lo, lo + size), slice(lo, lo + size)) for lo in starts]
         stack = np.stack([s[b] for b in blocks], axis=1)
@@ -400,6 +390,24 @@ def _tril_invert(s):
     del stack  # not held through the block products' temporaries
     for lo, mid, hi in joins:
         s[:, mid:hi, lo:mid] = -(s[:, mid:hi, mid:hi] @ (s[:, mid:hi, lo:mid] @ s[:, lo:mid, lo:mid]))
+
+
+def _split(lo, hi, leaves, joins):
+    """Halve rows [lo, hi) down to leaves of at most ``_INV_LEAF`` rows.
+
+    Appends each leaf's first row to ``leaves[size]`` and each split
+    (lo, mid, hi) to ``joins`` after the splits inside its halves.  A module
+    function, not a closure: a recursive closure is a reference cycle, which
+    only the cyclic garbage collector frees, so each call's lists would
+    outlive it.
+    """
+    if hi - lo <= _INV_LEAF:
+        leaves.setdefault(hi - lo, []).append(lo)
+        return
+    mid = (lo + hi) // 2
+    _split(lo, mid, leaves, joins)
+    _split(mid, hi, leaves, joins)
+    joins.append((lo, mid, hi))
 
 
 def _substitute(a):

@@ -233,9 +233,7 @@ def sample_batch(
 
 def batch_csv_text(batch: SampleBatch) -> str:
     """CSV export: header ``index,lambda_min``, one sorted sample per row."""
-    lines = ["index,lambda_min"]
-    lines.extend(f"{i},{v!r}" for i, v in enumerate(batch.values.tolist()))
-    return "\n".join(lines) + "\n"
+    return "index,lambda_min\n" + "".join(map("%d,%r\n".__mod__, enumerate(batch.values.tolist())))
 
 
 def batch_metadata(batch: SampleBatch) -> dict:

@@ -15,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from wishartmin.linalg import ZERO_EXP
 from wishartmin.sampler import RngStream
 
 
@@ -404,3 +405,27 @@ def direct_smallest_eigenvalues(spectrum, config, count, seed):
 def tril_factor(w):
     """Lower-triangular L with the singular values of the p x n (p <= n) w: w = L Q."""
     return np.linalg.qr(w.conj().T)[1].conj().T
+
+
+def sequential_horner(cm, ce, ts):
+    """Plain Horner in mantissa/exponent form: one step per coefficient.
+
+    The reference for ``exactlaw._horner``, whose single-block rows must
+    match it bit for bit.  Row r of ``cm``/``ce`` holds one polynomial's
+    coefficients, highest power first; returns (mantissa, exponent) arrays
+    of shape (len(ts), rows).
+    """
+    tm, te = np.frexp(ts)
+    tm = tm[:, None]
+    te = np.where(ts == 0.0, ZERO_EXP, te).astype(np.int32)[:, None]
+    am = np.repeat(cm[None, :, 0], ts.size, axis=0)
+    ae = np.repeat(ce[None, :, 0], ts.size, axis=0)
+    for k in range(1, cm.shape[1]):
+        am *= tm
+        ae += te
+        top = np.maximum(ae, ce[:, k])
+        np.ldexp(am, np.subtract(ae, top, out=ae), out=am)
+        am += np.ldexp(cm[:, k], ce[:, k] - top)
+        np.frexp(am, out=(am, ae))
+        ae += top
+    return am, ae

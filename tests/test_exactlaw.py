@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from wishartmin.exactlaw import ExactLaw, KernelPolynomial, kernel_coefficients
-from wishartmin.linalg import ZERO_EXP, hankel_kernel
+from wishartmin.exactlaw import HORNER_ONE_BLOCK, HORNER_STACK, _horner
+from wishartmin.linalg import VALUE_CHUNK, ZERO_EXP, hankel_kernel
 from wishartmin.numerics import signedlog_to_float
 from wishartmin.spectra import EmpiricalSpectrum, elementary_symmetric, make_config
 
@@ -17,6 +18,7 @@ from oracles import (
     fraction_kernel,
     gamma2_density,
     gamma2_tail,
+    sequential_horner,
 )
 
 
@@ -331,3 +333,97 @@ class TestLargeP:
         grid = law.gap_grid(np.array([0.0, 0.005, 0.01, 0.05]))
         scalar = [law.gap(t) for t in [0.0, 0.005, 0.01, 0.05]]
         assert grid.tolist() == scalar
+
+
+HORNER_TS = (0.0, 5e-324, 1e-300, 1e-3, 0.2, 1e3, 1e300)
+
+
+def geometric_law_inputs(p, beta=2, extra=2):
+    """Geometric spectrum 0.5..2 at p, with n = p + extra."""
+    return EmpiricalSpectrum(tuple(np.geomspace(0.5, 2.0, p))), make_config(beta, p, p + extra)
+
+
+def exact_polynomial(mant, expo, t):
+    """sum_k c_k t^(L-1-k) for the mantissa/exponent row (mant, expo), as an exact Fraction.
+
+    Horner's rule on integers: t = tn / 2^s, and c_k = (mant_k 2^53) 2^(expo_k - 53).
+    """
+    tn, td = Fraction(t).as_integer_ratio()
+    shift = td.bit_length() - 1
+    low = min(int(e) for m, e in zip(mant, expo) if m) - 53
+    acc = 0
+    for k, (m, e) in enumerate(zip(mant, expo)):
+        acc = acc * tn + (int(m * 2.0 ** 53) << (int(e) - 53 - low + shift * k) if m else 0)
+    return Fraction(acc) * Fraction(2) ** (low - shift * (len(mant) - 1))
+
+
+class TestBlockedHorner:
+    @pytest.mark.parametrize("p", [16, 64, 200])
+    def test_values_match_exact_rationals_within_the_stated_bound(self, p):
+        # every f_s and f_s' row; the docstring's bound is gamma_n, n < L + 3 ceil(sqrt(L))
+        mant, expo = kernel_coefficients(*geometric_law_inputs(p))
+        size = mant.shape[1]
+        assert size > HORNER_ONE_BLOCK
+        bound = (size + 3 * math.isqrt(size - 1) + 3) * np.finfo(float).eps
+        am, ae = _horner(mant, expo, np.array(HORNER_TS))
+        for i, t in enumerate(HORNER_TS):
+            for r in range(len(mant)):
+                want = exact_polynomial(mant[r], expo[r], t)
+                got = exact_value(am[i, r], ae[i, r])
+                if want == 0:
+                    assert got == 0 and ae[i, r] <= ZERO_EXP + 1100, (t, r)
+                else:
+                    assert abs(got / want - 1) < bound, (t, r, float(abs(got / want - 1)))
+
+    @pytest.mark.parametrize("p", [16, 200])
+    def test_zero_reads_the_constant_coefficient(self, p):
+        # t = 0 must not scale the sentinel exponent by the block width
+        mant, expo = kernel_coefficients(*geometric_law_inputs(p))
+        am, ae = _horner(mant, expo, np.array([0.0, 0.0]))
+        nonzero = mant[:, -1] != 0
+        assert np.array_equal(am[0], mant[:, -1]) and np.array_equal(am[1], am[0])
+        assert np.array_equal(ae[0, nonzero], expo[nonzero, -1])
+        assert np.all(ae[0, ~nonzero] >= ZERO_EXP)
+
+    @pytest.mark.parametrize("p, n, beta", [(10, 21, 1), (10, 13, 1), (1, 2, 2), (15, 17, 2), (12, 30, 2)])
+    def test_single_block_rows_keep_the_plain_loop_bits(self, p, n, beta):
+        # up to HORNER_ONE_BLOCK coefficients (the BENCH10 laws have 11) the
+        # blocked Horner is the plain loop, bit for bit
+        spectrum = BENCH10 if p == 10 else geometric_law_inputs(p)[0]
+        mant, expo = kernel_coefficients(spectrum, make_config(beta, p, n))
+        assert mant.shape[1] <= HORNER_ONE_BLOCK
+        rng = np.random.default_rng(p + n)
+        ts = np.concatenate([HORNER_TS, rng.uniform(0.0, 30.0, 3000)])
+        got, want = _horner(mant, expo, ts), sequential_horner(mant, expo, ts)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_grid_spanning_passes_and_chunks_matches_point_calls(self):
+        # p=200, kernel dimension 2: passes of HORNER_STACK // (blocks * rows)
+        # points inside each VALUE_CHUNK; every element must have the bits of
+        # the one-point call at the same t, whatever pass or chunk it fell in
+        spectrum, config = geometric_law_inputs(200)
+        law = ExactLaw(spectrum, config)
+        mant, expo = law._coeff_mant, law._coeff_exp
+        size, rows = mant.shape[1], mant.shape[0]
+        width = math.isqrt(size - 1) + 1
+        per_pass = HORNER_STACK // (-(-size // width) * rows)
+        ts = np.geomspace(1e-4, 0.2, 5000)
+        assert 1 < per_pass < VALUE_CHUNK < len(ts) and VALUE_CHUNK % per_pass
+        am, ae = _horner(mant, expo, ts)
+        for k in range(len(ts)):
+            pm, pe = _horner(mant, expo, ts[k:k + 1])
+            assert np.array_equal(pm[0], am[k]) and np.array_equal(pe[0], ae[k]), k
+        gap, density = law.curve(ts)
+        edges = [c + d for c in range(0, len(ts), VALUE_CHUNK) for d in range(0, VALUE_CHUNK, per_pass)]
+        for k in sorted({min(max(e + d, 0), len(ts) - 1) for e in edges for d in (-1, 0, 1)}):
+            one_gap, one_density = law.curve(float(ts[k]))
+            assert (one_gap.item(), one_density.item()) == (gap[k], density[k]), k
+
+    def test_gamma0_with_blocked_rows(self):
+        # kernel dimension 0 leaves no polynomial rows: E = exp(-r t) at any p
+        lams = tuple(np.geomspace(0.5, 2.0, 20))
+        law = ExactLaw(EmpiricalSpectrum(lams), make_config(2, 20, 20))
+        rate = math.fsum(1.0 / v for v in lams)
+        gap, density = law.curve(np.array([0.0, 0.1]))
+        assert gap[0] == 1.0 and gap[1] == pytest.approx(math.exp(-0.1 * rate), rel=1e-14)
+        assert density[1] == pytest.approx(rate * math.exp(-0.1 * rate), rel=1e-14)
