@@ -153,6 +153,18 @@ def _write_csv(path: str, argv, header: str, columns):
     _write_atomic(path, f"# command: {_command_line(argv)}\n{header}\n{rows}")
 
 
+def _json_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2) + "\n"`` for a flat dict, from the C encoder.
+
+    With ``indent`` the stdlib takes its pure-Python encoder, whose nested
+    closures are reference cycles that outlive every call until a full
+    garbage collection.  Each key and value here is dumped without
+    ``indent``, which gives the same bytes for scalars.
+    """
+    items = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items())
+    return "{\n" + items + "\n}\n"
+
+
 def cmd_exact(args, argv) -> int:
     spectrum, config = _load_inputs(args)
     ts = _grid(args.t_min, args.t_max, args.t_steps, "t")
@@ -179,7 +191,7 @@ def cmd_sample(args, argv) -> int:
     _write_atomic(args.out, text)
     meta = batch_metadata(batch)
     meta["command"] = _command_line(argv)
-    _write_atomic(args.out + ".meta.json", json.dumps(meta, indent=2) + "\n")
+    _write_atomic(args.out + ".meta.json", _json_text(meta))
     return 0
 
 
@@ -232,7 +244,7 @@ def cmd_verify(args, argv) -> int:
             note += (f": the reference law is a limiting law and carries finite-size bias "
                      f"at p={config.p}")
         doc["threshold_note"] = note
-    _write_atomic(args.out, json.dumps(doc, indent=2) + "\n")
+    _write_atomic(args.out, _json_text(doc))
     status = "pass" if report.passed else "FAIL"
     print(
         f"{status}: KS D = {report.statistic:.6f}, threshold = {report.threshold:.6f}, "

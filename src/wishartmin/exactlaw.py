@@ -36,7 +36,8 @@ within gamma_n, n < L + 3 ceil(sqrt(L)), of its exact value.
 ExactLaw.curve takes gap and density from one engine call; gap_grid skips
 Q' for the KS test of ``verify``.  t = 0 reads the constant coefficients
 directly.  The scalar gap and density are 1-point calls into that engine,
-and the value of a single KernelPolynomial is a 1-point Horner run.
+and the value of a single KernelPolynomial is a 1-point Horner run, in the
+same (mantissa, exponent) form.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ import numpy as np
 
 from .linalg import ZERO_EXP, jacobi_gap_density
 from .linalg import logdet_lu, sqrt_det_antisymmetric  # noqa: F401  wrapped by bench/tracer.py
-from .numerics import SignedLog
 from .spectra import (
     EmpiricalSpectrum,
     EnsembleConfig,
@@ -138,11 +138,10 @@ class KernelPolynomial:
     mant: np.ndarray
     expo: np.ndarray
 
-    def evaluate(self, t: float) -> SignedLog:
-        """Value at t >= 0: a 1-point run of the grid engine's Horner."""
+    def evaluate(self, t: float):
+        """Value at t >= 0 as (mantissa, exponent): a 1-point run of the grid engine's Horner."""
         am, ae = _horner(self.mant[None], self.expo[None], np.array([float(t)]))
-        m = float(am[0, 0])
-        return SignedLog(int(np.sign(m)), abs(m), int(ae[0, 0]))
+        return float(am[0, 0]), int(ae[0, 0])
 
 
 class ExactLaw:

@@ -9,9 +9,10 @@ as float mantissas with separate binary exponents for VALUE_CHUNK points at
 a time.  hankel_kernel assembles Q and Q' from them GRID_BLOCK points at a
 time, each row is scaled by its largest exponent and the stack goes through
 one batched LAPACK determinant and one batched solve.  So no array of either
-law grows with the grid except the returned values.  The determinant of a
-single SignedLogMatrix is the same row-scaled determinant of a 1-matrix
-stack, after an integer shift of each column.
+law grows with the grid except the returned values.  logdet_lu and
+sqrt_det_antisymmetric take a single matrix in the same form and run the
+same row-scaled determinant on a 1-matrix stack, after an integer shift of
+each column.
 
 The sampler hands over no data matrix W, only the p x p lower-triangular
 factor T = Lambda^(1/2) L of its LQ decomposition, which has the same
@@ -48,10 +49,7 @@ import math
 
 import numpy as np
 
-from .numerics import SLOG_ONE, SLOG_ZERO, SignedLog, signedlog_sqrt
-
 __all__ = [
-    "SignedLogMatrix",
     "logdet_lu",
     "sqrt_det_antisymmetric",
     "ZERO_EXP",
@@ -60,7 +58,8 @@ __all__ = [
     "smallest_singular_value",
 ]
 
-# |det| below exp(log_scale) * ANTISYM_NOISE_FLOOR counts as roundoff zero
+# a negative det of an antisymmetric matrix below ANTISYM_NOISE_FLOOR times the
+# product of its rows' largest |entries| counts as roundoff zero
 ANTISYM_NOISE_FLOOR = 1e-10
 ANTISYM_REL_TOL = 1e-12
 
@@ -80,99 +79,58 @@ GRID_BLOCK = 256
 VALUE_CHUNK = 8 * GRID_BLOCK
 
 
-class SignedLogMatrix:
-    """Square matrix of SignedLog entries; dimension 0 is the empty matrix."""
+def logdet_lu(mant, expo):
+    """(sign, log|det|) of the square matrix mant * 2**expo by the engine's row-scaled slogdet.
 
-    __slots__ = ("dim", "rows")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        d = len(rows)
-        for r in rows:
-            if len(r) != d:
-                raise ValueError("matrix rows must all have length equal to the dimension")
-            for entry in r:
-                if not isinstance(entry, SignedLog):
-                    raise TypeError("matrix entries must be SignedLog values")
-        self.dim = d
-        self.rows = rows
-
-    def entry(self, i: int, j: int) -> SignedLog:
-        return self.rows[i][j]
-
-
-def logdet_lu(m: SignedLogMatrix) -> SignedLog:
-    """Determinant of a SignedLogMatrix by the laws' row-scaled slogdet.
-
-    Each column is first shifted by its largest binary exponent, an integer
-    shift added back afterwards, so a column far below the others does not
-    underflow when the rows are scaled.  The empty matrix has determinant
-    1; exact singularity returns the zero element.
+    ``mant`` and ``expo`` are (d, d) arrays in the form hankel_kernel
+    returns for one point; the exponent of a zero mantissa is ignored.  Each
+    column is first shifted by its largest binary exponent, an integer shift
+    added back afterwards, so a column far below the others does not
+    underflow when the rows are scaled.  The empty matrix gives (1.0, 0.0);
+    exact singularity gives (0.0, -inf).
     """
-    if m.dim == 0:
-        return SLOG_ONE
-    mant = np.array([[e.sign * e.mantissa for e in row] for row in m.rows])
-    expo = np.array([[e.exp2 if e.sign else ZERO_EXP for e in row] for row in m.rows])
-    shift = expo.max(axis=0)
+    mant = np.asarray(mant, dtype=float)
+    expo = np.where(mant != 0.0, expo, ZERO_EXP)
+    shift = expo.max(axis=0, initial=ZERO_EXP)
     expo = np.where(mant != 0.0, expo - shift, ZERO_EXP)
     sign, logabs, top, _ = _row_scaled_slogdet(mant[None], expo[None])
-    if sign[0] == 0:
-        return SLOG_ZERO
-    det = SignedLog.from_logmag(int(sign[0]), float(logabs[0]))
-    return SignedLog(det.sign, det.mantissa, det.exp2 + int(top.sum() + shift.sum()))
+    return float(sign[0]), float(logabs[0] + _LN2 * (top.sum() + shift.sum()))
 
 
-def _row_scale_log(m: SignedLogMatrix) -> float:
-    """Hadamard-style magnitude scale: sum over rows of the max entry logmag."""
-    total = 0.0
-    for row in m.rows:
-        mags = [e.logmag for e in row if e.sign != 0]
-        if not mags:
-            return -math.inf
-        total += max(mags)
-    return total
+def sqrt_det_antisymmetric(mant, expo):
+    """(sign, log) of the non-negative square root of det(mant * 2**expo), as logdet_lu gives them.
 
-
-def _check_antisymmetric(m: SignedLogMatrix):
-    for i in range(m.dim):
-        if m.rows[i][i].sign != 0:
-            raise ValueError(f"antisymmetric matrix must have zero diagonal (entry {i},{i})")
-        for j in range(i + 1, m.dim):
-            a = m.rows[i][j]
-            b = m.rows[j][i]
-            if a.sign == 0 and b.sign == 0:
-                continue
-            if a.sign == 0 or b.sign == 0 or a.sign != -b.sign:
-                raise ValueError(f"matrix is not antisymmetric at entry ({i},{j})")
-            if abs(a.logmag - b.logmag) > 2.0 * ANTISYM_REL_TOL:
-                raise ValueError(
-                    f"matrix is not antisymmetric at entry ({i},{j}): "
-                    f"magnitudes differ beyond tolerance"
-                )
-
-
-def sqrt_det_antisymmetric(m: SignedLogMatrix) -> SignedLog:
-    """Non-negative square root of det(m) for an even-dimensional antisymmetric m.
-
-    The determinant of such a matrix is a perfect square (of its Pfaffian),
-    so the global convention det^(1/2) = +sqrt(det) is well defined.  A
-    tiny negative determinant from roundoff, below the relative noise
-    floor, is clamped to zero.
+    The matrix must have even dimension, a zero diagonal and a_ji = -a_ij,
+    with |log|a_ij| - log|a_ji|| at most 2 * ANTISYM_REL_TOL; otherwise
+    ValueError.  The determinant of such a matrix is a perfect square (of
+    its Pfaffian), so the global convention det^(1/2) = +sqrt(det) is well
+    defined.  A tiny negative determinant from roundoff, below
+    ANTISYM_NOISE_FLOOR times the product of each row's largest entry, is
+    clamped to zero, (0.0, -inf); a larger one raises ArithmeticError.
     """
-    if m.dim % 2 != 0:
-        raise ValueError(f"antisymmetric square root needs even dimension, got {m.dim}")
-    _check_antisymmetric(m)
-    det = logdet_lu(m)
-    if det.sign == 0:
-        return SLOG_ZERO
-    if det.sign < 0:
-        scale = _row_scale_log(m)
-        if det.logmag < scale + math.log(ANTISYM_NOISE_FLOOR):
-            return SLOG_ZERO
+    mant = np.asarray(mant, dtype=float)
+    dim = len(mant)
+    if dim % 2 != 0:
+        raise ValueError(f"antisymmetric square root needs even dimension, got {dim}")
+    diagonal = np.flatnonzero(np.diagonal(mant))
+    if diagonal.size:
+        i = diagonal[0]
+        raise ValueError(f"antisymmetric matrix must have zero diagonal (entry {i},{i})")
+    # a zero entry has log magnitude -inf, and two zeros differ by nan, within tolerance
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logmag = np.log(np.abs(mant)) + _LN2 * np.asarray(expo)
+        bad = np.abs(logmag - logmag.T) > 2.0 * ANTISYM_REL_TOL
+    bad |= np.sign(mant) != -np.sign(mant.T)
+    if bad.any():
+        i, j = np.argwhere(np.triu(bad))[0]
+        raise ValueError(f"matrix is not antisymmetric at entry ({i},{j})")
+    sign, logdet = logdet_lu(mant, expo)
+    if sign > 0:
+        return 1.0, 0.5 * logdet
+    if sign < 0 and not logdet < logmag.max(axis=1).sum() + math.log(ANTISYM_NOISE_FLOOR):
         raise ArithmeticError(
-            "determinant of antisymmetric matrix is negative beyond the noise floor"
-        )
-    return signedlog_sqrt(det)
+            "determinant of antisymmetric matrix is negative beyond the noise floor")
+    return 0.0, -math.inf
 
 
 def _row_scaled_slogdet(mant, expo):

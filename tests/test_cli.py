@@ -1,8 +1,10 @@
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -646,3 +648,31 @@ def test_curve_commands_evaluate_the_kernel_once(bench10_file, tmp_path, monkeyp
     micro = make_micro_config(1, 5)
     assert rows[:, 1].tolist() == micro_gap(rows[:, 0], micro).tolist()
     assert rows[:, 2].tolist() == micro_pmin(rows[:, 0], micro).tolist()
+
+
+def test_json_text_is_indented_dumps():
+    doc = {"statistic": 0.0123456789012345, "n": 5000, "pass": True, "law_n": None,
+           "spectrum_hash": "ab12", "command": "wishartmin verify --out 'a \\\"b\\u00e9'",
+           "threshold": 1e-300, "nan": math.nan, "note": "caf\u00e9\n"}
+    assert cli._json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "sample"])
+def test_json_report_leaves_no_encoder_cycles(command, small_file, tmp_path):
+    # json.dumps with indent runs the pure-Python encoder, whose closures are
+    # reference cycles that every call would leave to the cyclic collector
+    argv = [command, "--beta", "2", "--p", "3", "--n", "5", "--spectrum", small_file,
+            "--count", "500", "--seed", "5", "--out", str(tmp_path / "out.json")]
+    if command == "verify":
+        argv[1:1] = ["--mode", "exact"]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        encoder = [obj for obj in gc.garbage
+                   if isinstance(obj, types.FunctionType) and obj.__module__ == "json.encoder"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert encoder == []

@@ -7,8 +7,7 @@ import pytest
 
 from wishartmin.exactlaw import ExactLaw, KernelPolynomial, kernel_coefficients
 from wishartmin.exactlaw import HORNER_ONE_BLOCK, HORNER_STACK, _horner
-from wishartmin.linalg import VALUE_CHUNK, ZERO_EXP, hankel_kernel
-from wishartmin.numerics import signedlog_to_float
+from wishartmin.linalg import VALUE_CHUNK, ZERO_EXP, hankel_kernel, logdet_lu, sqrt_det_antisymmetric
 from wishartmin.spectra import EmpiricalSpectrum, elementary_symmetric, make_config
 
 from conftest import BENCH10_SPECTRUM
@@ -47,8 +46,8 @@ def assembled_kernels(spectrum, config, t):
     """Q(t) and Q'(t) as the engine assembles them: two (mant, expo) pairs of shape (dim, dim)."""
     mant, expo = kernel_coefficients(spectrum, config)
     values = [KernelPolynomial(0, m, e).evaluate(t) for m, e in zip(mant, expo)]
-    vm = np.array([[v.sign * v.mantissa for v in values]])
-    ve = np.array([[v.exp2 if v.sign else ZERO_EXP for v in values]])
+    vm = np.array([[m for m, _ in values]])
+    ve = np.array([[e for _, e in values]])
     f = len(values) // 2
     q = hankel_kernel(config.beta, vm[:, :f], ve[:, :f])
     dq = hankel_kernel(config.beta, vm[:, f:], ve[:, f:])
@@ -92,9 +91,9 @@ class TestKernelPolynomials:
     def test_simplest_complex_kernel_is_t_plus_one(self):
         # p=1, n=2, beta=2: a_2 = 1, e=(1,1), so Q11(t) = f_2(t) = t + 1
         poly = kernel_views(EmpiricalSpectrum((1.0,)), make_config(2, 1, 2))[2]
-        assert signedlog_to_float(poly.evaluate(0.0)) == pytest.approx(1.0, rel=1e-14)
-        assert signedlog_to_float(poly.evaluate(1.0)) == pytest.approx(2.0, rel=1e-14)
-        assert signedlog_to_float(poly.evaluate(2.5)) == pytest.approx(3.5, rel=1e-14)
+        assert math.ldexp(*poly.evaluate(0.0)) == pytest.approx(1.0, rel=1e-14)
+        assert math.ldexp(*poly.evaluate(1.0)) == pytest.approx(2.0, rel=1e-14)
+        assert math.ldexp(*poly.evaluate(2.5)) == pytest.approx(3.5, rel=1e-14)
 
     def test_beta1_diagonal_polynomials_are_zero(self):
         off = ~np.eye(6, dtype=bool)
@@ -109,7 +108,7 @@ class TestKernelPolynomials:
         assert sorted(views) == list(range(2, 9))
         for s in (7, 8):
             assert np.all(views[s].mant == 0) and np.all(views[s].expo == ZERO_EXP)
-            assert views[s].evaluate(1.5).sign == 0
+            assert views[s].evaluate(1.5)[0] == 0
         # a_6 = 0 keeps the single k = 0 term: f_6 = t / 0!
         poly = views[6]
         assert poly.mant[0] != 0
@@ -136,8 +135,7 @@ class TestKernelPolynomials:
             for t in (0.0, 0.08, 1.3, 24.0):
                 x = Fraction(t)
                 want = sum(c * x ** (config.p - k) for k, c in enumerate(coeffs))
-                value = poly.evaluate(t)
-                got = value.sign * exact_value(value.mantissa, value.exp2)
+                got = exact_value(*poly.evaluate(t))
                 if want == 0:
                     assert got == 0
                 else:
@@ -194,6 +192,31 @@ class TestKernelPolynomials:
             want_gap, want_density = fraction_exact_law(lams, 1, 7, t)
             assert gap == pytest.approx(want_gap, rel=1e-11)
             assert density == pytest.approx(want_density, rel=1e-11)
+
+
+class TestPinnedDeterminants:
+    """logdet_lu and sqrt_det_antisymmetric take Q as hankel_kernel builds it, and agree with the engine."""
+
+    @pytest.mark.parametrize("t", [0.5, 2.0, 8.0])
+    def test_sqrt_det_antisymmetric_gives_the_gap_at_beta1(self, t):
+        config = make_config(1, 10, 21)  # kernel_dim 10
+        law = ExactLaw(BENCH10, config)
+        (qm, qe), _ = assembled_kernels(BENCH10, config, t)
+        sign, log_root = sqrt_det_antisymmetric(qm, qe)
+        got = math.exp(-config.gamma * law.log_det_lambda - law.trace_rate * t + log_root)
+        assert sign == 1.0
+        assert got == pytest.approx(law.gap(t), rel=1e-12)
+
+    @pytest.mark.parametrize("t", [0.5, 2.0, 8.0])
+    def test_logdet_lu_gives_the_gap_at_beta2(self, t):
+        # det^(beta/2) is det itself at beta = 2
+        config = make_config(2, 10, 12)  # kernel_dim 2
+        law = ExactLaw(BENCH10, config)
+        (qm, qe), _ = assembled_kernels(BENCH10, config, t)
+        sign, log_det = logdet_lu(qm, qe)
+        got = math.exp(-config.gamma * law.log_det_lambda - law.trace_rate * t + log_det)
+        assert sign == 1.0
+        assert got == pytest.approx(law.gap(t), rel=1e-12)
 
 
 class TestGapProbability:

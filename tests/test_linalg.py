@@ -11,7 +11,6 @@ from wishartmin.exactlaw import ExactLaw
 from wishartmin.linalg import (
     RITZ_RTOL,
     VALUE_CHUNK,
-    SignedLogMatrix,
     _GRAM_ROWS,
     _ritz_step,
     logdet_lu,
@@ -19,7 +18,6 @@ from wishartmin.linalg import (
     sqrt_det_antisymmetric,
 )
 from wishartmin.microlaw import make_micro_config, micro_curve, micro_gap, micro_pmin
-from wishartmin.numerics import SLOG_ZERO, signedlog_from_float, signedlog_to_float
 from wishartmin.spectra import EmpiricalSpectrum, make_config
 
 from conftest import BENCH10_SPECTRUM
@@ -38,79 +36,95 @@ from oracles import (
 EPS = np.finfo(float).eps
 
 
-def slog_matrix(a):
-    return SignedLogMatrix([[signedlog_from_float(float(x)) for x in row] for row in a])
+def pair(a):
+    """The matrix a as the (mantissa, exponent) arrays the determinants take."""
+    return np.frexp(np.asarray(a, dtype=float))
+
+
+def det_value(sign_log):
+    sign, log = sign_log
+    return sign * math.exp(log)
 
 
 class TestLogdetLu:
     def test_empty_matrix_is_one(self):
-        det = logdet_lu(SignedLogMatrix([]))
-        assert signedlog_to_float(det) == 1.0
+        assert logdet_lu(*pair(np.zeros((0, 0)))) == (1.0, 0.0)
 
     def test_diagonal(self):
-        det = logdet_lu(slog_matrix([[2.0, 0.0], [0.0, 3.0]]))
-        assert det.sign == 1
-        assert det.logmag == pytest.approx(math.log(6.0), rel=1e-15)
+        sign, log = logdet_lu(*pair([[2.0, 0.0], [0.0, 3.0]]))
+        assert sign == 1.0
+        assert log == pytest.approx(math.log(6.0), rel=1e-15)
 
     def test_sign_from_swap(self):
-        det = logdet_lu(slog_matrix([[0.0, 1.0], [1.0, 0.0]]))
-        assert signedlog_to_float(det) == pytest.approx(-1.0)
+        assert det_value(logdet_lu(*pair([[0.0, 1.0], [1.0, 0.0]]))) == pytest.approx(-1.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_random_6x6_against_cofactor_expansion(self, seed):
         rng = np.random.default_rng(seed)
         a = rng.uniform(-1.0, 1.0, size=(6, 6))
         want = cofactor_det(a)
-        got = signedlog_to_float(logdet_lu(slog_matrix(a)))
+        got = det_value(logdet_lu(*pair(a)))
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_exact_singularity_returns_zero(self):
         a = [[1.0, 2.0], [2.0, 4.0]]
-        assert logdet_lu(slog_matrix(a)) == SLOG_ZERO
+        assert logdet_lu(*pair(a)) == (0.0, -math.inf)
 
     def test_huge_magnitude_spread(self):
         # diag entries across ~600 orders of magnitude stay exact in log space
-        det = logdet_lu(slog_matrix([[1e300, 0.0], [0.0, 1e300]]))
-        assert det.sign == 1
-        assert det.logmag == pytest.approx(2 * math.log(1e300), rel=1e-14)
+        sign, log = logdet_lu(*pair([[1e300, 0.0], [0.0, 1e300]]))
+        assert sign == 1.0
+        assert log == pytest.approx(2 * math.log(1e300), rel=1e-14)
 
     def test_column_spread_beyond_float_range(self):
         # scaling rows alone would flush the 1e-200 column to zero next to the 1e200 one
         core = np.random.default_rng(8).uniform(-1.0, 1.0, size=(3, 3))
-        det = logdet_lu(slog_matrix(core * np.array([1e200, 1.0, 1e-200])))
+        sign, log = logdet_lu(*pair(core * np.array([1e200, 1.0, 1e-200])))
         want = cofactor_det(core)
-        assert det.sign == (1 if want > 0 else -1)
-        assert det.logmag == pytest.approx(
+        assert sign == (1.0 if want > 0 else -1.0)
+        assert log == pytest.approx(
             math.log(abs(want)) + math.log(1e200) + math.log(1e-200), abs=1e-11
         )
+
+    def test_exponents_beyond_double_range(self):
+        # columns scaled by 2**5000, 1 and 2**-5000: no float holds them, the pair does
+        core = np.random.default_rng(9).uniform(-1.0, 1.0, size=(3, 3))
+        mant, expo = pair(core)
+        sign, log = logdet_lu(mant, expo + np.array([5000, 0, -5000]))
+        want = cofactor_det(core)
+        assert sign == (1.0 if want > 0 else -1.0)
+        assert log == pytest.approx(math.log(abs(want)), abs=1e-11)
+
+    def test_exponent_of_a_zero_mantissa_is_ignored(self):
+        # a zero carrying exponent 2000 must not set its column's shift, which
+        # would flush the entry above it to zero once its row is scaled
+        mant, expo = pair([[1.0, 1.0], [0.0, 1.0]])
+        expo[1, 0] = 2000
+        assert logdet_lu(mant, expo) == (1.0, 0.0)
 
     @pytest.mark.parametrize("d", [2, 4, 7, 10])
     def test_product_rule(self, d):
         rng = np.random.default_rng(d)
         a = rng.uniform(-1.0, 1.0, size=(d, d))
         b = rng.uniform(-1.0, 1.0, size=(d, d))
-        da = logdet_lu(slog_matrix(a))
-        db = logdet_lu(slog_matrix(b))
-        dab = logdet_lu(slog_matrix(a @ b))
-        assert dab.sign == da.sign * db.sign
-        assert dab.logmag == pytest.approx(da.logmag + db.logmag, rel=1e-9, abs=1e-9)
-
-    def test_rejects_ragged(self):
-        with pytest.raises(ValueError):
-            SignedLogMatrix([[SLOG_ZERO, SLOG_ZERO], [SLOG_ZERO]])
+        sa, la = logdet_lu(*pair(a))
+        sb, lb = logdet_lu(*pair(b))
+        sab, lab = logdet_lu(*pair(a @ b))
+        assert sab == sa * sb
+        assert lab == pytest.approx(la + lb, rel=1e-9, abs=1e-9)
 
 
 class TestSqrtDetAntisymmetric:
     def test_2x2(self):
-        m = slog_matrix([[0.0, 3.0], [-3.0, 0.0]])
-        assert signedlog_to_float(sqrt_det_antisymmetric(m)) == pytest.approx(3.0, rel=1e-15)
+        sign, log = sqrt_det_antisymmetric(*pair([[0.0, 3.0], [-3.0, 0.0]]))
+        assert sign == 1.0
+        assert math.exp(log) == pytest.approx(3.0, rel=1e-15)
 
     def test_zero_matrix(self):
-        m = slog_matrix(np.zeros((4, 4)))
-        assert sqrt_det_antisymmetric(m) == SLOG_ZERO
+        assert sqrt_det_antisymmetric(*pair(np.zeros((4, 4)))) == (0.0, -math.inf)
 
     def test_empty(self):
-        assert signedlog_to_float(sqrt_det_antisymmetric(SignedLogMatrix([]))) == 1.0
+        assert sqrt_det_antisymmetric(*pair(np.zeros((0, 0)))) == (1.0, 0.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_recursive_pfaffian(self, seed):
@@ -118,7 +132,7 @@ class TestSqrtDetAntisymmetric:
         b = rng.uniform(-1.0, 1.0, size=(6, 6))
         a = b - b.T
         want = abs(pfaffian_recursive(a))
-        got = signedlog_to_float(sqrt_det_antisymmetric(slog_matrix(a)))
+        got = det_value(sqrt_det_antisymmetric(*pair(a)))
         assert got == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("seed", [5, 6])
@@ -126,23 +140,43 @@ class TestSqrtDetAntisymmetric:
         rng = np.random.default_rng(seed)
         b = rng.uniform(-1.0, 1.0, size=(8, 8))
         a = b - b.T
-        root = sqrt_det_antisymmetric(slog_matrix(a))
-        det = logdet_lu(slog_matrix(a))
-        assert det.sign == 1
-        assert 2.0 * root.logmag == pytest.approx(det.logmag, rel=1e-9, abs=1e-9)
+        _, log_root = sqrt_det_antisymmetric(*pair(a))
+        sign, log_det = logdet_lu(*pair(a))
+        assert sign == 1.0
+        assert 2.0 * log_root == pytest.approx(log_det, rel=1e-9, abs=1e-9)
+
+    def test_equal_values_in_different_forms_are_antisymmetric(self):
+        # 1 * 2**0 against -0.5 * 2**1: the check compares values, not mantissas
+        mant = np.array([[0.0, 1.0], [-0.5, 0.0]])
+        expo = np.array([[0, 0], [1, 0]])
+        sign, log = sqrt_det_antisymmetric(mant, expo)
+        assert sign == 1.0 and log == 0.0
 
     def test_rejects_odd_dimension(self):
-        m = slog_matrix([[0.0, 1.0, 2.0], [-1.0, 0.0, 3.0], [-2.0, -3.0, 0.0]])
+        a = [[0.0, 1.0, 2.0], [-1.0, 0.0, 3.0], [-2.0, -3.0, 0.0]]
         with pytest.raises(ValueError, match="even"):
-            sqrt_det_antisymmetric(m)
+            sqrt_det_antisymmetric(*pair(a))
 
     def test_rejects_asymmetry(self):
         with pytest.raises(ValueError, match="antisymmetric"):
-            sqrt_det_antisymmetric(slog_matrix([[0.0, 3.0], [-2.9, 0.0]]))
+            sqrt_det_antisymmetric(*pair([[0.0, 3.0], [-2.9, 0.0]]))
+
+    def test_rejects_equal_signs(self):
+        with pytest.raises(ValueError, match=r"antisymmetric at entry \(0,1\)"):
+            sqrt_det_antisymmetric(*pair([[0.0, 3.0], [3.0, 0.0]]))
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
-            sqrt_det_antisymmetric(slog_matrix([[1.0, 3.0], [-3.0, 0.0]]))
+            sqrt_det_antisymmetric(*pair([[1.0, 3.0], [-3.0, 0.0]]))
+
+    def test_negative_determinant_clamps_below_the_noise_floor(self, monkeypatch):
+        # rows' largest entries 3 and 3: the floor is log(9e-10)
+        m = pair([[0.0, 3.0], [-3.0, 0.0]])
+        monkeypatch.setattr(linalg, "logdet_lu", lambda *_: (-1.0, math.log(9e-10) - 1.0))
+        assert sqrt_det_antisymmetric(*m) == (0.0, -math.inf)
+        monkeypatch.setattr(linalg, "logdet_lu", lambda *_: (-1.0, math.log(9e-10) + 1.0))
+        with pytest.raises(ArithmeticError, match="noise floor"):
+            sqrt_det_antisymmetric(*m)
 
 
 def bartlett_factors(rng, lams, n, k, beta=1):

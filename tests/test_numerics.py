@@ -4,29 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from wishartmin.numerics import (
-    SLOG_ONE,
-    SignedLog,
-    bessel_i,
-    signedlog_from_float,
-    signedlog_to_float,
-)
+from wishartmin.numerics import bessel_i, bessel_i_signedlog
 
 from oracles import QuadratureError, adaptive_quadrature, fraction_bessel_i
-
-
-class TestSignedLog:
-    def test_bad_sign_rejected(self):
-        with pytest.raises(ValueError):
-            SignedLog(2, 0.5, 1)
-
-    def test_overflow_to_float_is_inf(self):
-        assert signedlog_to_float(SignedLog.from_logmag(1, 1e4)) == math.inf
-        assert signedlog_to_float(SignedLog.from_logmag(-1, 1e4)) == -math.inf
-
-    def test_logmag_roundtrip(self):
-        a = SignedLog.from_logmag(1, 2.3)
-        assert a.logmag == pytest.approx(2.3, abs=1e-14)
 
 
 class TestBesselI:
@@ -60,6 +40,30 @@ class TestBesselI:
     def test_rejects_huge_order(self):
         with pytest.raises(ValueError):
             bessel_i(65, 1.0)
+
+    @pytest.mark.parametrize("nu", [2.5, True, "2", math.nan])
+    @pytest.mark.parametrize("fn", [bessel_i, bessel_i_signedlog])
+    def test_rejects_order_that_is_not_an_integer(self, fn, nu):
+        # int() would truncate 2.5 to 2 and read True as 1
+        with pytest.raises(ValueError, match="Bessel order must be an integer"):
+            fn(nu, 1.0)
+
+    def test_integral_float_order_is_accepted(self):
+        assert bessel_i(2.0, 1.0) == bessel_i(2, 1.0)
+
+    @pytest.mark.parametrize("nu, x", [(0, 0.0), (3, 0.0), (1, 1.0), (9, 20.0), (5, 1e-300)])
+    def test_mantissa_exponent_pair_is_exact_value_of_bessel_i(self, nu, x):
+        mant, expo = bessel_i_signedlog(nu, x)
+        assert mant == 0.0 or 0.5 <= mant < 1.0
+        assert isinstance(expo, int)
+        assert math.ldexp(mant, expo) == bessel_i(nu, x)
+
+    def test_pair_keeps_a_value_below_double_range(self):
+        # I_5(1e-300) ~ 2.6e-1505: the float underflows to 0, the pair keeps 1e-15
+        mant, expo = bessel_i_signedlog(5, 1e-300)
+        want = fraction_bessel_i(5, Fraction(1e-300), terms=3)
+        assert bessel_i(5, 1e-300) == 0.0
+        assert abs(Fraction(mant) * Fraction(2) ** expo / want - 1) < 1e-15
 
     def test_overflowing_series_raises_within_a_second(self):
         # the partial sum overflows near x = 713; an overflowed sum must end
@@ -104,9 +108,4 @@ class TestAdaptiveQuadrature:
     def test_rejects_non_finite_integrand(self):
         with pytest.raises(ValueError):
             adaptive_quadrature(lambda x: math.inf, 0.0, 1.0, 1e-8)
-
-
-def test_slog_one_is_unit():
-    assert SLOG_ONE == signedlog_from_float(1.0)
-    assert signedlog_to_float(SLOG_ONE) == 1.0
 
